@@ -3,7 +3,7 @@
 
 For every (request, principal rule) pair the table shows whether the
 condition held and how much work the matcher did, next to the
-per-condition work bound |V| * (length + repetitions + 1).
+per-condition work bound ``rebac.work_bound``.
 
 Usage::
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from rebac import TOP, length, load_workspace, make_fixture, match_path, plus_count, render
+from rebac import TOP, load_workspace, make_fixture, match_path, work_bound
 
 
 def build_rows(workspace):
@@ -28,19 +28,16 @@ def build_rows(workspace):
             found, metrics = match_path(
                 workspace.graph, request.subject, request.object, rule.condition
             )
-            bound = len(workspace.graph) * (
-                length(rule.condition) + plus_count(rule.condition) + 1
-            )
             rows.append(
                 (
-                    render(rule.condition),
+                    rule.text,
                     f"{request.subject} -> {request.object}",
                     "yes" if found else "no",
                     metrics.nodes_visited,
                     metrics.edges_considered,
                     metrics.queue_peak,
                     metrics.pairs_seen,
-                    bound,
+                    work_bound(workspace.graph, rule.condition),
                 )
             )
     return rows

@@ -27,6 +27,7 @@ from .matching import (
     PrincipalMatchingRule,
     match_path,
     match_principals,
+    work_bound,
 )
 from .oracle import compile_nfa, oracle_satisfies, satisfying_targets
 from .paths import (

@@ -149,7 +149,7 @@ def _cmd_oracle_check(args) -> int:
                 elif first_failure is None:
                     first_failure = (
                         f"matcher={got} oracle={expected} for ({request.subject!r}, "
-                        f"{request.object!r}) under {render(rule.condition)}"
+                        f"{request.object!r}) under {rule.text}"
                     )
 
     if args.trials:
@@ -238,6 +238,10 @@ def main(argv=None) -> int:
         return 2
     except (GraphError, PathSyntaxError, PolicyError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means deny or not found, never a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

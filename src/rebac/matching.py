@@ -8,7 +8,7 @@ the neighbor.  A residual whose first factor is a zero-or-more
 repetition is unfolded on dequeue into its zero branch and its
 one-or-more branch, recursively, since zero branches can expose further
 repetitions.  A seen set over (node, residual) pairs bounds the work by
-|V| * (length + plus_count + 1).
+:func:`work_bound`, |V| * (length + 2 * plus_count + 1).
 
 :func:`match_principals` runs an ordered rule list against a request
 and collects the principals of matching rules, either stopping at the
@@ -49,6 +49,7 @@ __all__ = [
     "match_path",
     "match_principals",
     "validate_policy",
+    "work_bound",
 ]
 
 
@@ -82,10 +83,27 @@ class PolicyError(ValueError):
 
 @dataclass(frozen=True)
 class PrincipalMatchingRule:
-    """Pairs a path condition (or TOP) with the principal it identifies."""
+    """Pairs a path condition (or TOP) with the principal it identifies.
+
+    ``text`` (the rendered condition, or "TOP") and ``has_star`` do not
+    depend on any request, so they are computed once, here.  Building
+    never raises for a condition that :func:`validate_policy` rejects.
+    """
 
     condition: PathCondition | _Top
     principal: str
+    text: str = field(init=False, repr=False, compare=False)
+    has_star: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.condition, PathCondition):
+            has_star = _contains_star(self.condition)
+            # same text as render(condition); a '*' rule fails validation
+            text = render(self.condition, allow_star=True)
+        else:
+            has_star, text = False, repr(self.condition)
+        object.__setattr__(self, "has_star", has_star)
+        object.__setattr__(self, "text", text)
 
 
 @dataclass
@@ -135,6 +153,18 @@ def _unfold(residual: PathCondition) -> list[PathCondition]:
     return out
 
 
+def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
+    """Most (node, residual) pairs :func:`match_path` can see for ``condition``.
+
+    Every residual of the simple form is the start, the suffix left
+    after one label occurrence (one per occurrence), or one of the two
+    branches unfolded from a ``+`` occurrence's zero-or-more remainder
+    ``X* . K``: ``X+ . K`` and ``K``.  So there are at most
+    length + 2 * plus_count + 1 residuals, each paired with a node.
+    """
+    return len(graph) * (length(condition) + 2 * plus_count(condition) + 1)
+
+
 def match_path(
     graph: SystemGraph,
     source: str,
@@ -160,7 +190,7 @@ def match_path(
         # the empty condition needs no traversal at all
         return MatchResult(source == target, metrics)
 
-    bound = len(graph) * (length(pi) + plus_count(pi) + 1)
+    bound = work_bound(graph, pi)
     seen: set[tuple[str, PathCondition]] = {(source, pi)}
     queue: deque[tuple[str, PathCondition]] = deque([(source, pi)])
     metrics.queue_peak = 1
@@ -250,7 +280,7 @@ def validate_policy(rules: Sequence[PrincipalMatchingRule]) -> list[str]:
             if position != len(rules):
                 problems.append(f"rule {position}: TOP is only allowed as the last rule")
         elif isinstance(rule.condition, PathCondition):
-            if _contains_star(rule.condition):
+            if rule.has_star:
                 problems.append(f"rule {position}: '*' conditions are internal and not allowed in policies")
         else:
             problems.append(f"rule {position}: condition is neither a path condition nor TOP")
@@ -294,14 +324,12 @@ def match_principals(
     for number, rule in enumerate(rules, start=1):
         if rule.condition is TOP:
             found, metrics = True, MatchMetrics()
-            condition_text = "TOP"
         else:
             rule_trace = None
             if trace:
                 rule_trace = lambda line, _n=number: trace(f"rule {_n}: {line}")
             found, metrics = match_path(graph, subject, object_, rule.condition, trace=rule_trace)
-            condition_text = render(rule.condition)
-        evaluations.append(RuleEvaluation(number, rule.principal, condition_text, found, metrics))
+        evaluations.append(RuleEvaluation(number, rule.principal, rule.text, found, metrics))
         if found:
             if rule.principal not in principals:
                 principals.append(rule.principal)

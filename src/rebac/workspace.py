@@ -231,7 +231,7 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
 
     # requests --------------------------------------------------------------
     requests = []
-    for i, item in enumerate(data.get("requests") or []):
+    for i, item in enumerate(_expect_list(data, "requests", problems, "workspace")):
         if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("subject", "object", "action")):
             requests.append(Request(item["subject"], item["object"], item["action"]))
         else:

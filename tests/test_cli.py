@@ -242,3 +242,59 @@ def test_oracle_check_random_only(capsys):
 def test_missing_workspace_file_exits_2(capsys):
     assert main(["validate", "--workspace", "/nonexistent/ws.json"]) == 2
     assert capsys.readouterr().err != ""
+
+
+def test_eval_decides_on_a_nested_closure_rule(tmp_path, capsys):
+    # a rule whose search once broke the matcher's work bound
+    labels = ["a", "b", "c"]
+    doc = {
+        "version": 1,
+        "model": {
+            "types": ["node"],
+            "labels": labels,
+            "symmetric": ["c"],
+            "permissible": [{"from": "node", "to": "node", "label": l} for l in labels],
+        },
+        "graph": {
+            "entities": [{"id": "n0", "type": "node"}, {"id": "n1", "type": "node"}],
+            "edges": [
+                {"from": "n0", "to": "n0", "label": "a"},
+                {"from": "n0", "to": "n1", "label": "c"},
+                {"from": "n1", "to": "n0", "label": "a"},
+            ],
+        },
+        "authorization_system": {
+            "pms": "FirstMatch",
+            "crs": "FirstMatch",
+            "principal_rules": [{"path": "((~c)+ . c)+ . (c . ((~a)+ . ~c)+ . a)+", "principal": "p"}],
+            "auth_rules": [{"principal": "p", "object": "*", "action": "read", "allow": True}],
+        },
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "-w", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "-w", str(path), "-s", "n0", "-o", "n1", "-a", "read"]) == 1
+    assert capsys.readouterr().out == "DENY (system default)\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("requests", 5),
+        ("path", "(" * 600 + "uo" + ")" * 600),
+        ("path", " . ".join(["uo"] * 600)),
+    ],
+    ids=["requests-not-a-list", "600-nested-parens", "600-label-chain"],
+)
+def test_eval_exits_2_not_1_on_unusable_input(tmp_path, capsys, field, value):
+    doc = json.loads(dumps_workspace(make_fixture("unix")))
+    if field == "requests":
+        doc["requests"] = value
+    else:
+        doc["authorization_system"]["principal_rules"][0]["path"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "-w", str(path), "-s", "alice", "-o", "file1", "-a", "read"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1

@@ -20,6 +20,7 @@ from rebac import (
     parse,
     plus_count,
 )
+from rebac.differential import run_differential
 from rebac.matching import validate_policy
 
 SINGLE = SystemModel(["t"], ["a", "b"], permissible=[("t", "t", "a"), ("t", "t", "b")])
@@ -104,6 +105,13 @@ def test_seen_bound_holds_for_adversarial_conditions():
         bound = len(dense) * (length(pc) + plus_count(pc) + 1)
         assert metrics.pairs_seen <= bound
         assert metrics.queue_peak <= bound
+
+
+@pytest.mark.parametrize("seed", [4264359290, 3101670111, 456755500])
+def test_nested_closures_stay_within_the_work_bound(seed):
+    # each trial sees more pairs than |V| * (length + plus_count + 1)
+    report = run_differential(seed, 1)
+    assert report.agreements == 1
 
 
 def test_unknown_entities_rejected(five_node_graph):

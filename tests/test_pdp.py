@@ -22,6 +22,7 @@ from rebac import (
     possible_decisions,
     resolve,
 )
+from rebac.fixtures import corporate_workspace
 from rebac.pdp import DefaultStage, validate_system
 
 MODEL = SystemModel(["t"], ["a"], permissible=[("t", "t", "a")])
@@ -265,3 +266,16 @@ def test_validate_system_reports_dangling_principals():
     problems = validate_system(system)
     assert any("nobody" in p for p in problems)
     assert validate_system(tiny_system([AuthorizationRule("linked", "o", "read", True)])) == []
+
+
+def test_evaluation_neither_renders_nor_walks_rules(monkeypatch):
+    ws = corporate_workspace()
+    expected = [evaluate(ws.graph, ws.system, r).to_dict() for r in ws.requests]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-rule work repeated for a request")
+
+    monkeypatch.setattr("rebac.matching.render", refuse)
+    monkeypatch.setattr("rebac.matching._contains_star", refuse)
+    assert [evaluate(ws.graph, ws.system, r).to_dict() for r in ws.requests] == expected
+    assert len(expected) == 5

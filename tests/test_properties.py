@@ -28,6 +28,7 @@ from rebac import (
     satisfying_targets,
     simplify,
     suffix,
+    work_bound,
 )
 
 from strategies import LABELS, conditions, graph_and_pair, graphs, simple_conditions
@@ -124,7 +125,7 @@ def test_adding_an_edge_never_breaks_a_match(pair, pc, label):
 def test_work_bound_holds(pair, pc):
     graph, source, target = pair
     _, metrics = match_path(graph, source, target, pc)
-    bound = len(graph) * (length(pc) + plus_count(pc) + 1)
+    bound = work_bound(graph, pc)
     assert metrics.pairs_seen <= bound
     assert metrics.nodes_visited <= bound
 

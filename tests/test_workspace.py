@@ -200,6 +200,12 @@ def test_malformed_request_entry():
     assert f"requests[{n}] must be an object with string subject/object/action" in violations(doc)
 
 
+def test_requests_must_be_a_list():
+    doc = base()
+    doc["requests"] = 5
+    assert "workspace.requests must be a list" in violations(doc)
+
+
 def test_all_problems_reported_together():
     doc = base()
     doc["version"] = 3
