@@ -36,39 +36,33 @@ __all__ = [
 ]
 
 DEFAULT_LABELS = ("a", "b", "c")
-DEFAULT_SYMMETRIC = ("c",)
+SYMMETRIC = ("c",)
+MAX_NODES = 8
+MAX_LENGTH = 6  # labels in a random simple condition
+MAX_SIZE = 8  # leaves and operators in a random raw condition
 
-
-def _model(labels, symmetric) -> SystemModel:
-    # a single entity type keeps every random edge permissible
-    return SystemModel(
-        types=["node"],
-        labels=labels,
-        symmetric=symmetric,
-        permissible=[("node", "node", label) for label in labels],
-    )
-
-
-def random_graph(
-    rng: random.Random,
-    *,
-    max_nodes: int = 8,
+# a single entity type keeps every random edge permissible
+_MODEL = SystemModel(
+    types=["node"],
     labels=DEFAULT_LABELS,
-    symmetric=DEFAULT_SYMMETRIC,
-) -> SystemGraph:
+    symmetric=SYMMETRIC,
+    permissible=[("node", "node", label) for label in DEFAULT_LABELS],
+)
+
+
+def random_graph(rng: random.Random) -> SystemGraph:
     """Random multigraph over a single node type; self-loops included."""
-    model = _model(labels, symmetric)
-    count = rng.randint(2, max_nodes)
+    count = rng.randint(2, MAX_NODES)
     nodes = [f"n{i}" for i in range(count)]
     edges = set()
     for _ in range(rng.randint(0, 2 * count)):
-        edges.add((rng.choice(nodes), rng.choice(nodes), rng.choice(labels)))
-    return SystemGraph(model, {n: "node" for n in nodes}, edges)
+        edges.add((rng.choice(nodes), rng.choice(nodes), rng.choice(DEFAULT_LABELS)))
+    return SystemGraph(_MODEL, {n: "node" for n in nodes}, edges)
 
 
-def random_simple_condition(rng: random.Random, labels=DEFAULT_LABELS, max_length: int = 6) -> PathCondition:
+def random_simple_condition(rng: random.Random) -> PathCondition:
     """Random condition already in simple form (reversal on labels only)."""
-    target = rng.randint(0, max_length)
+    target = rng.randint(0, MAX_LENGTH)
     if target == 0:
         return DIAMOND
 
@@ -76,14 +70,14 @@ def random_simple_condition(rng: random.Random, labels=DEFAULT_LABELS, max_lengt
         if depth < 3 and rng.random() < 0.3:
             return Plus(build(size, depth + 1))
         if size == 1:
-            return EdgeCondition(rng.choice(labels), rng.random() < 0.4)
+            return EdgeCondition(rng.choice(DEFAULT_LABELS), rng.random() < 0.4)
         split = rng.randint(1, size - 1)
         return Concat(build(split, depth), build(size - split, depth))
 
     return build(target, 0)
 
 
-def random_condition(rng: random.Random, labels=DEFAULT_LABELS, max_size: int = 8) -> PathCondition:
+def random_condition(rng: random.Random) -> PathCondition:
     """Random raw condition: reversal and the empty condition anywhere."""
 
     def build(budget: int) -> PathCondition:
@@ -91,7 +85,7 @@ def random_condition(rng: random.Random, labels=DEFAULT_LABELS, max_size: int = 
         if budget <= 1:
             if roll < 0.15:
                 return DIAMOND
-            return EdgeCondition(rng.choice(labels), rng.random() < 0.4)
+            return EdgeCondition(rng.choice(DEFAULT_LABELS), rng.random() < 0.4)
         if roll < 0.35:
             split = rng.randint(1, budget - 1)
             return Concat(build(split), build(budget - split))
@@ -101,9 +95,9 @@ def random_condition(rng: random.Random, labels=DEFAULT_LABELS, max_size: int = 
             return Plus(build(budget - 1))
         if roll < 0.85:
             return DIAMOND
-        return EdgeCondition(rng.choice(labels), rng.random() < 0.4)
+        return EdgeCondition(rng.choice(DEFAULT_LABELS), rng.random() < 0.4)
 
-    return build(rng.randint(1, max_size))
+    return build(rng.randint(1, MAX_SIZE))
 
 
 @dataclass
@@ -135,15 +129,7 @@ class DifferentialReport:
         return self.agreements == self.trials
 
 
-def run_differential(
-    seed: int,
-    trials: int,
-    *,
-    max_nodes: int = 8,
-    labels=DEFAULT_LABELS,
-    symmetric=DEFAULT_SYMMETRIC,
-    max_length: int = 6,
-) -> DifferentialReport:
+def run_differential(seed: int, trials: int) -> DifferentialReport:
     """Run seeded random instances through both deciders.
 
     Stops recording after the first disagreement but keeps counting, so
@@ -154,8 +140,8 @@ def run_differential(
     first = None
     started = time.perf_counter()
     for _ in range(trials):
-        graph = random_graph(rng, max_nodes=max_nodes, labels=labels, symmetric=symmetric)
-        condition = random_simple_condition(rng, labels=labels, max_length=max_length)
+        graph = random_graph(rng)
+        condition = random_simple_condition(rng)
         nodes = graph.entity_ids
         source, target = rng.choice(nodes), rng.choice(nodes)
         got = match_path(graph, source, target, condition).found

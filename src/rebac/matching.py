@@ -158,8 +158,9 @@ def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
 
     Every residual of the simple form is the start, the suffix left
     after one label occurrence (one per occurrence), or one of the two
-    branches unfolded from a ``+`` occurrence's zero-or-more remainder
-    ``X* . K``: ``X+ . K`` and ``K``.  So there are at most
+    branches ``X+ . K`` and ``K`` unfolded from a zero-or-more form
+    ``X* . K``, which each ``+`` leaves as its remainder and each ``*``
+    is.  ``plus_count`` counts both, so there are at most
     length + 2 * plus_count + 1 residuals, each paired with a node.
     """
     return len(graph) * (length(condition) + 2 * plus_count(condition) + 1)

@@ -15,6 +15,12 @@ Surface grammar (whitespace insignificant)::
     atom  := LABEL | "~" atom | "(" seq ")" | "@"
     LABEL := [A-Za-z_][A-Za-z0-9_#-]*
 
+A condition is at most :data:`MAX_DEPTH` levels deep, each label, ``@``,
+``~``, ``(`` and ``+`` being one level (``a . b . c``, ``((a))``, ``~~a``
+and ``a++`` are three deep).  The simple form chains the factors of a
+concatenation, so they count one after another; the limit thus bounds
+every tree built from a condition, keeping later steps' recursion shallow.
+
 Zero-or-more repetition (:class:`Star`) has no surface form.  It only
 arises internally while matching, as the repetition remainder of a
 ``+``; policy files express "zero or more" as two rules, one with ``+``
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
+    "MAX_DEPTH",
     "PathCondition",
     "Diamond",
     "DIAMOND",
@@ -123,6 +130,8 @@ class Reverse(PathCondition):
     inner: PathCondition
 
 
+MAX_DEPTH = 100
+
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#-]*")
 _PUNCT = ".~+()@"
 
@@ -180,10 +189,14 @@ def parse(text: str, labels=None) -> PathCondition:
     label tokens must belong to it, except that a single-letter token
     resolves to the unique label starting with that letter.  The result
     is not canonicalized; pass it through :func:`simplify` for the
-    simple form.
+    simple form.  Text deeper than :data:`MAX_DEPTH` is rejected at the
+    token that crosses the limit.
     """
     vocab = None if labels is None else frozenset(labels)
     tokens = _tokenize(text)
+    levels = [offset for kind, _, offset in tokens if kind not in ".)"]
+    if len(levels) > MAX_DEPTH:
+        raise PathSyntaxError(f"condition is more than {MAX_DEPTH} levels deep", levels[MAX_DEPTH])
     pos = 0
 
     def peek() -> str | None:
@@ -395,7 +408,7 @@ def length(pc: PathCondition) -> int:
 
 @lru_cache(maxsize=4096)
 def plus_count(pc: PathCondition) -> int:
-    """Number of one-or-more repetitions in the simple form."""
+    """Number of repetitions, ``+`` and the internal ``*``, in the simple form."""
     pc = simplify(pc)
 
     def count(node: PathCondition) -> int:
@@ -403,10 +416,8 @@ def plus_count(pc: PathCondition) -> int:
             return 0
         if isinstance(node, Concat):
             return count(node.left) + count(node.right)
-        if isinstance(node, Plus):
+        if isinstance(node, (Plus, Star)):
             return 1 + count(node.inner)
-        if isinstance(node, Star):
-            return count(node.inner)
         raise TypeError(f"not a path condition: {node!r}")
 
     return count(pc)

@@ -229,8 +229,11 @@ class DecisionTrace:
         )
 
 
-def validate_system(system: AuthorizationSystem) -> list[str]:
-    """Shape violations of an authorization system, as messages."""
+def validate_system(system: AuthorizationSystem, graph: SystemGraph) -> list[str]:
+    """Violations of an authorization system over ``graph``, as messages: the
+    policy's shape, the strategies, authorization rules whose principal no
+    principal-matching rule produces or whose object is neither an entity
+    nor ``*``, and defaults for unknown entities."""
     problems = validate_policy(system.principal_rules)
     if not isinstance(system.pms, MatchStrategy):
         problems.append(f"unknown principal matching strategy {system.pms!r}")
@@ -245,6 +248,12 @@ def validate_system(system: AuthorizationSystem) -> list[str]:
                 f"authorization rule {position}: principal {rule.principal!r}"
                 " is not produced by any principal matching rule"
             )
+        if rule.object != WILDCARD and not graph.has_entity(rule.object):
+            problems.append(f"authorization rule {position}: object {rule.object!r} is not an entity or \"*\"")
+    for bucket, defaults in (("subjects", system.subject_defaults), ("objects", system.object_defaults)):
+        for entity in defaults:
+            if not graph.has_entity(entity):
+                problems.append(f"defaults.{bucket}: unknown entity {entity!r}")
     return problems
 
 

@@ -33,18 +33,19 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .graph import SystemGraph, SystemModel, validate_graph, validate_model
-from .matching import MatchStrategy, PrincipalMatchingRule, TOP, validate_policy
-from .paths import PathSyntaxError, parse, render
+from .matching import MatchStrategy, PrincipalMatchingRule, TOP
+from .paths import DIAMOND, PathSyntaxError, parse
 from .pdp import (
     AuthorizationRule,
     AuthorizationSystem,
     ConflictStrategy,
     Decision,
     Request,
-    WILDCARD,
+    validate_system,
 )
 
 __all__ = [
@@ -96,6 +97,43 @@ def _string_items(values, problems, where) -> list[str]:
     return out
 
 
+# list key -> (name of one record, type of each record field)
+_RECORDS = {
+    "permissible": ("model.permissible[{i}]", {"from": str, "to": str, "label": str}),
+    "entities": ("graph.entities[{i}]", {"id": str, "type": str}),
+    "edges": ("graph.edges[{i}]", {"from": str, "to": str, "label": str}),
+    "principal_rules": ("principal rule {n}:", {"path": str, "principal": str}),
+    "auth_rules": ("authorization rule {n}:", {"principal": str, "object": str, "action": str, "allow": bool}),
+    "requests": ("requests[{i}]", {"subject": str, "object": str, "action": str}),
+}
+
+
+def _records(data, key, problems, where) -> list[tuple]:
+    """Field values of each well-formed record in the list ``data[key]``.
+
+    A record that is not an object with a value of the declared type in
+    every field is reported by its name, formatted with its 0-based
+    position ``i`` or 1-based position ``n``, and skipped.
+    """
+    name, fields = _RECORDS[key]
+    strings = "/".join(k for k, t in fields.items() if t is str)
+    booleans = "/".join(k for k, t in fields.items() if t is bool)
+    shape = f"an object with string {strings}" + (f" and boolean {booleans}" if booleans else "")
+    values = itemgetter(*fields)
+    types = tuple(fields.values())  # decoded JSON values have exactly these types
+    records = []
+    for i, item in enumerate(_expect_list(data, key, problems, where)):
+        try:
+            record = values(item)
+        except (KeyError, TypeError):  # a field is missing, or not an object
+            record = ()
+        if tuple(map(type, record)) == types:
+            records.append(record)
+        else:
+            problems.append(f"{name.format(i=i, n=i + 1)} must be {shape}")
+    return records
+
+
 def _decision(value, problems, where) -> Decision:
     if value in ("allow", "deny"):
         return Decision(value)
@@ -127,33 +165,17 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
     types = _string_items(_expect_list(model_data, "types", problems, "model"), problems, "model.types")
     labels = _string_items(_expect_list(model_data, "labels", problems, "model"), problems, "model.labels")
     symmetric = _string_items(_expect_list(model_data, "symmetric", problems, "model"), problems, "model.symmetric")
-    permissible = []
-    for i, item in enumerate(_expect_list(model_data, "permissible", problems, "model")):
-        if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("from", "to", "label")):
-            permissible.append((item["from"], item["to"], item["label"]))
-        else:
-            problems.append(f"model.permissible[{i}] must be an object with string from/to/label")
+    permissible = _records(model_data, "permissible", problems, "model")
     model = SystemModel(types, labels, symmetric, permissible)
     problems.extend(validate_model(model))
 
     # graph ---------------------------------------------------------------
     graph_data = data["graph"]
     entities: dict[str, str] = {}
-    for i, item in enumerate(_expect_list(graph_data, "entities", problems, "graph")):
-        if not (isinstance(item, dict) and isinstance(item.get("id"), str) and isinstance(item.get("type"), str)):
-            problems.append(f"graph.entities[{i}] must be an object with string id/type")
-            continue
-        if item["id"] in entities:
-            if entities[item["id"]] != item["type"]:
-                problems.append(f"duplicate entity {item['id']!r} with conflicting types")
-            continue
-        entities[item["id"]] = item["type"]
-    edges = []
-    for i, item in enumerate(_expect_list(graph_data, "edges", problems, "graph")):
-        if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("from", "to", "label")):
-            edges.append((item["from"], item["to"], item["label"]))
-        else:
-            problems.append(f"graph.edges[{i}] must be an object with string from/to/label")
+    for entity, type_name in _records(graph_data, "entities", problems, "graph"):
+        if entities.setdefault(entity, type_name) != type_name:
+            problems.append(f"duplicate entity {entity!r} with conflicting types")
+    edges = _records(graph_data, "edges", problems, "graph")
     graph = SystemGraph(model, entities, edges, validate=False)
     problems.extend(validate_graph(graph))
 
@@ -171,36 +193,15 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         crs = ConflictStrategy.FIRST_MATCH
 
     principal_rules = []
-    for i, item in enumerate(_expect_list(system_data, "principal_rules", problems, "authorization_system")):
-        if not (isinstance(item, dict) and isinstance(item.get("path"), str) and isinstance(item.get("principal"), str)):
-            problems.append(f"principal rule {i + 1}: must be an object with string path/principal")
-            continue
-        if item["path"] == "TOP":
-            principal_rules.append(PrincipalMatchingRule(TOP, item["principal"]))
-            continue
+    for path, principal in _records(system_data, "principal_rules", problems, "authorization_system"):
         try:
-            condition = parse(item["path"], model.labels)
+            condition = TOP if path == "TOP" else parse(path, model.labels)
         except PathSyntaxError as exc:
-            problems.append(f"principal rule {i + 1}: {exc}")
-            continue
-        principal_rules.append(PrincipalMatchingRule(condition, item["principal"]))
-    problems.extend(validate_policy(principal_rules))
+            problems.append(f"principal rule {len(principal_rules) + 1}: {exc}")
+            condition = DIAMOND  # keeps the principal, whose authorization rules are not at fault
+        principal_rules.append(PrincipalMatchingRule(condition, principal))
 
-    auth_rules = []
-    for i, item in enumerate(_expect_list(system_data, "auth_rules", problems, "authorization_system")):
-        shape_ok = (
-            isinstance(item, dict)
-            and all(isinstance(item.get(k), str) for k in ("principal", "object", "action"))
-            and isinstance(item.get("allow"), bool)
-        )
-        if not shape_ok:
-            problems.append(
-                f"authorization rule {i + 1}: must be an object with string principal/object/action and boolean allow"
-            )
-            continue
-        if item["object"] != WILDCARD and not graph.has_entity(item["object"]):
-            problems.append(f"authorization rule {i + 1}: object {item['object']!r} is not an entity or \"*\"")
-        auth_rules.append(AuthorizationRule(item["principal"], item["object"], item["action"], item["allow"]))
+    auth_rules = [AuthorizationRule(*r) for r in _records(system_data, "auth_rules", problems, "authorization_system")]
 
     defaults = system_data.get("defaults", {})
     if not isinstance(defaults, dict):
@@ -215,8 +216,6 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
             problems.append(f"defaults.{bucket} must be an object")
             continue
         for entity, value in mapping.items():
-            if not graph.has_entity(entity):
-                problems.append(f"defaults.{bucket}: unknown entity {entity!r}")
             out[entity] = _decision(value, problems, f"defaults.{bucket}[{entity!r}]")
 
     system = AuthorizationSystem(
@@ -228,14 +227,14 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         subject_defaults=subject_defaults,
         object_defaults=object_defaults,
     )
+    problems.extend(validate_system(system, graph))
 
     # requests --------------------------------------------------------------
-    requests = []
-    for i, item in enumerate(_expect_list(data, "requests", problems, "workspace")):
-        if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("subject", "object", "action")):
-            requests.append(Request(item["subject"], item["object"], item["action"]))
-        else:
-            problems.append(f"requests[{i}] must be an object with string subject/object/action")
+    requests = [Request(*r) for r in _records(data, "requests", problems, "workspace")]
+    for i, request in enumerate(requests):
+        for entity in dict.fromkeys((request.subject, request.object)):
+            if not graph.has_entity(entity):
+                problems.append(f"requests[{i}]: unknown entity {entity!r}")
 
     if problems:
         raise WorkspaceError(problems)
@@ -252,9 +251,6 @@ def workspace_to_dict(workspace: Workspace) -> dict:
     model = workspace.model
     graph = workspace.graph
     system = workspace.system
-
-    def rule_path(rule: PrincipalMatchingRule) -> str:
-        return "TOP" if rule.condition is TOP else render(rule.condition)
 
     return {
         "version": FORMAT_VERSION,
@@ -278,7 +274,7 @@ def workspace_to_dict(workspace: Workspace) -> dict:
             "pms": system.pms.value,
             "crs": system.crs.value,
             "principal_rules": [
-                {"path": rule_path(rule), "principal": rule.principal}
+                {"path": rule.text, "principal": rule.principal}
                 for rule in system.principal_rules
             ],
             "auth_rules": [

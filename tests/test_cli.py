@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from rebac import DecisionTrace, dumps_workspace, make_fixture
+from rebac import DecisionTrace, dumps_workspace, load_workspace, make_fixture, oracle_satisfies
 from rebac.cli import main
+from rebac.paths import MAX_DEPTH, PathSyntaxError, parse
 
 
 @pytest.fixture()
@@ -298,3 +299,68 @@ def test_eval_exits_2_not_1_on_unusable_input(tmp_path, capsys, field, value):
     assert main(["eval", "-w", str(path), "-s", "alice", "-o", "file1", "-a", "read"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
+
+
+def _unix_with(tmp_path, change):
+    doc = json.loads(dumps_workspace(make_fixture("unix")))
+    change(doc)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "change, violation",
+    [
+        (
+            lambda doc: doc["authorization_system"]["auth_rules"][3].update(principal="wrld"),
+            "authorization rule 4: principal 'wrld' is not produced by any principal matching rule",
+        ),
+        (lambda doc: doc["requests"][1].update(object="ghost"), "requests[1]: unknown entity 'ghost'"),
+    ],
+    ids=["dangling-principal", "unknown-request-entity"],
+)
+def test_validate_rejects_dangling_principals_and_unknown_request_entities(tmp_path, capsys, change, violation):
+    path = _unix_with(tmp_path, change)
+    assert main(["validate", "-w", path]) == 2
+    assert capsys.readouterr().err == violation + "\n"
+
+
+# one text per form, `depth` levels deep
+DEPTH_FORMS = {
+    "plus": lambda depth: "uo" + "+" * (depth - 1),
+    "parens": lambda depth: "(" * (depth - 1) + "uo" + ")" * (depth - 1),
+    "concat": lambda depth: " . ".join(["uo"] * depth),
+    "reverse": lambda depth: "~" * (depth - 1) + "uo",
+}
+
+
+@pytest.mark.parametrize("form", sorted(DEPTH_FORMS))
+def test_conditions_at_the_depth_limit_work_end_to_end(tmp_path, capsys, form):
+    text = DEPTH_FORMS[form](MAX_DEPTH)
+    path = _unix_with(tmp_path, lambda doc: doc["authorization_system"]["principal_rules"][0].update(path=text))
+    ws = load_workspace(path)
+    found = oracle_satisfies(ws.graph, "alice", "file1", ws.system.principal_rules[0].condition)
+    assert main(["validate", "-w", path]) == 0
+    # alice reads file1 as its owner or, failing that, as a member of its group
+    assert main(["eval", "-w", path, "-s", "alice", "-o", "file1", "-a", "read", "--metrics", "--explain"]) == 0
+    assert main(["simplify", "-p", text]) == 0
+    assert main(["match", "-w", path, "-s", "alice", "-t", "file1", "-p", text, "--trace"]) == (0 if found else 1)
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 10_000])
+@pytest.mark.parametrize("form", sorted(DEPTH_FORMS))
+def test_conditions_past_the_depth_limit_are_named_violations(tmp_path, unix_file, capsys, form, depth):
+    text = DEPTH_FORMS[form](depth)
+    with pytest.raises(PathSyntaxError, match=f"more than {MAX_DEPTH} levels deep") as excinfo:
+        parse(text)
+    assert excinfo.value.position is not None
+    message = str(excinfo.value)
+    path = _unix_with(tmp_path, lambda doc: doc["authorization_system"]["principal_rules"][0].update(path=text))
+    assert main(["validate", "-w", path]) == 2
+    assert capsys.readouterr().err == f"principal rule 1: {message}\n"
+    assert main(["simplify", "-p", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["match", "-w", unix_file, "-s", "alice", "-t", "file1", "-p", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

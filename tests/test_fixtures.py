@@ -21,7 +21,7 @@ def test_fixtures_are_internally_consistent(name):
     ws = make_fixture(name)
     assert validate_model(ws.model) == []
     assert validate_graph(ws.graph) == []
-    assert validate_system(ws.system) == []
+    assert validate_system(ws.system, ws.graph) == []
     assert ws.requests, "every fixture ships runnable requests"
 
 

@@ -114,6 +114,13 @@ def test_nested_closures_stay_within_the_work_bound(seed):
     assert report.agreements == 1
 
 
+@pytest.mark.parametrize("repeated", [Plus, Star], ids=["plus", "star"])
+def test_repeated_leading_star_has_no_head(repeated):
+    g = small(["x", "y"], [("x", "y", "a")])
+    with pytest.raises(ValueError, match="leading zero-or-more repetition has no head"):
+        match_path(g, "x", "y", repeated(Star(EdgeCondition("a"))))
+
+
 def test_unknown_entities_rejected(five_node_graph):
     with pytest.raises(UnknownEntityError):
         match_path(five_node_graph, "s", "ghost", DIAMOND)

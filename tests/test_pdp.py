@@ -263,9 +263,22 @@ def test_trace_round_trips_through_dict(corporate):
 
 def test_validate_system_reports_dangling_principals():
     system = tiny_system([AuthorizationRule("nobody", "o", "read", True)])
-    problems = validate_system(system)
+    problems = validate_system(system, linked_graph())
     assert any("nobody" in p for p in problems)
-    assert validate_system(tiny_system([AuthorizationRule("linked", "o", "read", True)])) == []
+    assert validate_system(tiny_system([AuthorizationRule("linked", "o", "read", True)]), linked_graph()) == []
+
+
+def test_validate_system_reports_entities_missing_from_the_graph():
+    system = tiny_system(
+        [AuthorizationRule("linked", "ghost", "read", True), AuthorizationRule("anyone", WILDCARD, "read", False)],
+        subject_defaults={"u": Decision.ALLOW, "nobody": Decision.DENY},
+        object_defaults={"phantom": Decision.ALLOW},
+    )
+    assert validate_system(system, linked_graph()) == [
+        "authorization rule 1: object 'ghost' is not an entity or \"*\"",
+        "defaults.subjects: unknown entity 'nobody'",
+        "defaults.objects: unknown entity 'phantom'",
+    ]
 
 
 def test_evaluation_neither_renders_nor_walks_rules(monkeypatch):

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebac import (
@@ -15,6 +15,7 @@ from rebac import (
     PrincipalMatchingRule,
     Reverse,
     Star,
+    SystemGraph,
     canonical_equal,
     head,
     length,
@@ -31,7 +32,7 @@ from rebac import (
     work_bound,
 )
 
-from strategies import LABELS, conditions, graph_and_pair, graphs, simple_conditions
+from strategies import LABELS, MODEL, conditions, graph_and_pair, graphs, simple_conditions
 
 
 @given(graph_and_pair(), conditions())
@@ -122,6 +123,10 @@ def test_adding_an_edge_never_breaks_a_match(pair, pc, label):
 
 @given(graph_and_pair(), simple_conditions())
 @settings(max_examples=200, deadline=None)
+@example(  # a* . b* sees 7 pairs: more than a bound that leaves out the stars
+    (SystemGraph(MODEL, {"x": "node", "y": "node"}, [("x", "y", "a"), ("y", "x", "b"), ("x", "x", "b")]), "x", "y"),
+    Concat(Star(EdgeCondition("a")), Star(EdgeCondition("b"))),
+)
 def test_work_bound_holds(pair, pc):
     graph, source, target = pair
     _, metrics = match_path(graph, source, target, pc)

@@ -4,6 +4,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rebac import (
     Workspace,
@@ -193,6 +195,22 @@ def test_bad_pms_and_crs_values():
     assert any("authorization_system.crs must be one of" in v for v in found)
 
 
+def test_authorization_rule_principal_must_be_matched_by_some_rule():
+    doc = base()
+    doc["authorization_system"]["auth_rules"].insert(
+        0, {"principal": "ownr", "object": "*", "action": "write", "allow": False}
+    )
+    assert violations(doc) == [
+        "authorization rule 1: principal 'ownr' is not produced by any principal matching rule"
+    ]
+
+
+def test_request_entities_must_exist():
+    doc = base()
+    doc["requests"][1]["object"] = "ghost"
+    assert violations(doc) == ["requests[1]: unknown entity 'ghost'"]
+
+
 def test_malformed_request_entry():
     doc = base()
     doc["requests"].append({"subject": "alice", "action": "read"})
@@ -229,3 +247,42 @@ def test_original_document_not_mutated_by_loading():
     snapshot = copy.deepcopy(doc)
     loads_workspace(json.dumps(doc))
     assert doc == snapshot
+
+
+# -- hostile JSON --------------------------------------------------------------
+
+
+def _positions(value, path=()):
+    # every section, list entry and record field below the document root
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+DOCUMENTS = {name: json.loads(dumps_workspace(make_fixture(name))) for name in sorted(FIXTURES)}
+POSITIONS = [(name, path) for name, doc in DOCUMENTS.items() for path in _positions(doc)]
+JSON_VALUES = [None, True, False, 0, 7, 2.5, "", "ghost", [], ["ghost"], {}, {"id": "ghost"}]
+
+
+@given(st.sampled_from(POSITIONS), st.sampled_from(JSON_VALUES))
+@settings(max_examples=500, deadline=None)
+def test_a_value_of_another_json_type_loads_or_is_a_violation(position, value):
+    name, path = position
+    doc = copy.deepcopy(DOCUMENTS[name])
+    *parents, last = path
+    container = doc
+    for key in parents:
+        container = container[key]
+    assume(_json_type(container[last]) != _json_type(value))
+    container[last] = value
+    try:
+        loads_workspace(json.dumps(doc))
+    except WorkspaceError as exc:
+        assert exc.violations
