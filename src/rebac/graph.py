@@ -9,12 +9,33 @@ and can be shared freely across threads.
 
 Symmetric edges are direction-free: they are stored once, with the
 lexicographically smaller endpoint first, and match in both directions.
+
+What a snapshot holds: the model, the entity table (id to type, with its
+sorted id tuple computed once), and a label index with two tables per
+node.  The first maps ``(label, direction)`` to the sorted tuple of
+neighbours reached that way, with direction ``out``, ``in`` or ``sym``.
+The second holds the node's comparison count ``out + in + 2·sym``: what
+one scan of all its incident edges costs the matcher, since a symmetric
+edge is tried in both senses.  A freshly constructed snapshot keeps its
+edge set and builds the index on its first query.
+
+What an update copies: :meth:`SystemGraph.with_edge` and
+:meth:`SystemGraph.without_edge` share the entity table and every
+untouched node's tables.  They copy only the two top-level node maps,
+rebuild the tables of the edge's two endpoints, and validate only the
+new edge, so an update never re-sorts or re-walks the graph.  A derived
+snapshot computes ``edges`` and ``edges_incident`` from the index on
+demand.  Edge endpoints are the entity table's own key strings, so the
+index holds one string object per entity, not one per edge end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, NamedTuple
+from sys import intern
+from typing import Iterable, Literal, NamedTuple
 
 __all__ = [
     "GraphError",
@@ -57,6 +78,15 @@ class IncidentEdge(NamedTuple):
     direction: Direction
 
 
+def _incident_order(edge: IncidentEdge):
+    return (_DIRECTION_RANK[edge.direction], edge.neighbor, edge.label)
+
+
+# node -> (label, direction) -> sorted neighbours, and node -> comparison count
+NodeTable = Mapping[tuple[str, Direction], tuple[str, ...]]
+LabelIndex = tuple[Mapping[str, NodeTable], Mapping[str, int]]
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Vocabulary and typing discipline for system graphs."""
@@ -91,15 +121,16 @@ def validate_model(model: SystemModel) -> list[str]:
 class SystemGraph:
     """Immutable snapshot of the entity multigraph.
 
-    ``entities`` maps entity id to type name; ``edges`` is any iterable
-    of (from, to, label) triples.  Duplicate triples collapse.  By
-    default construction validates the model and graph and raises
+    ``entities`` maps entity id (a string) to type name; ``edges`` is any
+    iterable of (from, to, label) triples.  Duplicate triples collapse.
+    By default construction validates the model and graph and raises
     :class:`GraphValidationError`; pass ``validate=False`` to build an
     unchecked snapshot and inspect :func:`validate_graph` output
     instead.
     """
 
-    __slots__ = ("model", "_types", "_edges", "_incident")
+    # _edges or _index may be None until first asked for, never both
+    __slots__ = ("model", "_types", "_ids", "_edges", "_index")
 
     def __init__(
         self,
@@ -109,20 +140,31 @@ class SystemGraph:
         *,
         validate: bool = True,
     ):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "_types", dict(entities))
+        pairs = entities.items() if isinstance(entities, Mapping) else entities
+        types = {intern(entity): intern(type_name) for entity, type_name in pairs}
         sym = model.symmetric
         stored = set()
         for from_id, to_id, label in edges:
             if label in sym and to_id < from_id:
                 from_id, to_id = to_id, from_id
-            stored.add((from_id, to_id, label))
-        object.__setattr__(self, "_edges", frozenset(stored))
-        object.__setattr__(self, "_incident", None)
+            stored.add((intern(from_id), intern(to_id), intern(label)))
+        self._init(model, types, None, frozenset(stored), None)
         if validate:
             problems = validate_model(model) + validate_graph(self)
             if problems:
                 raise GraphValidationError(problems)
+
+    def _init(self, model, types, ids, edges, index) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "_types", types)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_index", index)
+
+    def _derived(self, types, ids, edges, index) -> "SystemGraph":
+        graph = object.__new__(SystemGraph)
+        graph._init(self.model, types, ids, edges, index)
+        return graph
 
     def __setattr__(self, name, value):
         raise AttributeError("SystemGraph is immutable; use with_/without_ helpers")
@@ -131,7 +173,11 @@ class SystemGraph:
 
     @property
     def entity_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._types))
+        ids = self._ids
+        if ids is None:
+            ids = tuple(sorted(self._types))
+            object.__setattr__(self, "_ids", ids)
+        return ids
 
     @property
     def entity_types(self) -> Mapping[str, str]:
@@ -140,7 +186,19 @@ class SystemGraph:
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
         """Stored triples; symmetric ones have the smaller endpoint first."""
-        return self._edges
+        edges = self._edges
+        if edges is None:
+            neighbours, _ = self._index
+            edges = frozenset(
+                (node, other, label)
+                for node, table in neighbours.items()
+                for (label, direction), others in table.items()
+                if direction != "in"
+                for other in others
+                if direction == "out" or node <= other
+            )
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     def __contains__(self, entity: str) -> bool:
         return entity in self._types
@@ -163,40 +221,40 @@ class SystemGraph:
         Symmetric labels hold in both directions; for other labels the
         (from, to, label) and (to, from, label) triples are independent.
         """
-        if label in self.model.symmetric and to_id < from_id:
-            from_id, to_id = to_id, from_id
-        return (from_id, to_id, label) in self._edges
+        table = (self._index or self.label_index())[0].get(from_id)
+        if table is None:
+            return False
+        others = table.get((label, "sym" if label in self.model.symmetric else "out"))
+        return others is not None and to_id in others
 
     def edges_incident(self, entity: str) -> tuple[IncidentEdge, ...]:
         """Edges touching ``entity``, in a deterministic order.
 
         Order: all ``out`` edges, then ``in``, then ``sym``, each group
         sorted by (neighbor, label).  Symmetric edges appear once per
-        stored edge, as direction ``sym``.
+        stored edge, as direction ``sym``.  Derived from the label index
+        on each call.
         """
         if entity not in self._types:
             raise UnknownEntityError(entity)
-        index = self._incident_index()
-        return index.get(entity, ())
+        table = self.label_index()[0].get(entity, {})
+        incident = [
+            IncidentEdge(other, label, direction)
+            for (label, direction), others in table.items()
+            for other in others
+        ]
+        incident.sort(key=_incident_order)
+        return tuple(incident)
 
-    def _incident_index(self) -> dict[str, tuple[IncidentEdge, ...]]:
-        index = self._incident
+    def label_index(self) -> LabelIndex:
+        """``(neighbours, comparisons)``: per node, its ``(label,
+        direction) -> sorted neighbours`` table and its comparison count
+        ``out + in + 2·sym``.  Nodes without edges are absent from both.
+        Snapshots share these tables; callers must not change them."""
+        index = self._index
         if index is None:
-            sym = self.model.symmetric
-            by_node: dict[str, list[IncidentEdge]] = {}
-            for from_id, to_id, label in self._edges:
-                if label in sym:
-                    by_node.setdefault(from_id, []).append(IncidentEdge(to_id, label, "sym"))
-                    if to_id != from_id:
-                        by_node.setdefault(to_id, []).append(IncidentEdge(from_id, label, "sym"))
-                else:
-                    by_node.setdefault(from_id, []).append(IncidentEdge(to_id, label, "out"))
-                    by_node.setdefault(to_id, []).append(IncidentEdge(from_id, label, "in"))
-            index = {
-                node: tuple(sorted(items, key=lambda e: (_DIRECTION_RANK[e.direction], e.neighbor, e.label)))
-                for node, items in by_node.items()
-            }
-            object.__setattr__(self, "_incident", index)
+            index = _build_index(self.model.symmetric, self._edges)
+            object.__setattr__(self, "_index", index)
         return index
 
     # -- functional updates ----------------------------------------------
@@ -211,20 +269,54 @@ class SystemGraph:
         if problems:
             raise GraphValidationError(problems)
         entities = dict(self._types)
-        entities[entity] = type_name
-        return SystemGraph(self.model, entities, self._edges, validate=False)
+        entities[intern(entity)] = intern(type_name)
+        # a new entity has no edges, so the edge set and the index carry over
+        return self._derived(entities, None, self._edges, self._index)
 
     def with_edge(self, from_id: str, to_id: str, label: str) -> "SystemGraph":
         """New snapshot with the edge added; rejects ill-formed additions."""
         problems = _edge_problems(self.model, self._types, from_id, to_id, label)
         if problems:
             raise GraphValidationError(problems)
-        return SystemGraph(self.model, self._types, self._edges | {(from_id, to_id, label)}, validate=False)
+        return self._edge_update(from_id, to_id, label, add=True)
 
     def without_edge(self, from_id: str, to_id: str, label: str) -> "SystemGraph":
-        if label in self.model.symmetric and to_id < from_id:
-            from_id, to_id = to_id, from_id
-        return SystemGraph(self.model, self._types, self._edges - {(from_id, to_id, label)}, validate=False)
+        return self._edge_update(from_id, to_id, label, add=False)
+
+    def _edge_update(self, from_id: str, to_id: str, label: str, *, add: bool) -> "SystemGraph":
+        neighbours, comparisons = self.label_index()
+        symmetric = label in self.model.symmetric
+        present = (label, "sym" if symmetric else "out")
+        if (to_id in neighbours.get(from_id, {}).get(present, ())) == add:
+            return self
+        # both ends are entities here; interning yields the entity table's keys
+        from_id, to_id, label = intern(from_id), intern(to_id), intern(label)
+        if not symmetric:
+            ends = [(from_id, (label, "out"), to_id, 1), (to_id, (label, "in"), from_id, 1)]
+        elif from_id == to_id:
+            ends = [(from_id, (label, "sym"), to_id, 2)]  # a symmetric loop is one incident edge
+        else:
+            ends = [(from_id, (label, "sym"), to_id, 2), (to_id, (label, "sym"), from_id, 2)]
+        neighbours, comparisons = dict(neighbours), dict(comparisons)
+        for node, key, other, weight in ends:
+            table = dict(neighbours.get(node, {}))
+            others = table.get(key, ())
+            if add:
+                i = bisect_left(others, other)
+                table[key] = others[:i] + (other,) + others[i:]
+                comparisons[node] = comparisons.get(node, 0) + weight
+            else:
+                others = tuple(o for o in others if o != other)
+                if others:
+                    table[key] = others
+                else:
+                    del table[key]
+                comparisons[node] -= weight
+            if table:
+                neighbours[node] = table
+            else:
+                del neighbours[node], comparisons[node]
+        return self._derived(self._types, self._ids, None, (neighbours, comparisons))
 
     def without_entity(self, entity: str) -> "SystemGraph":
         """New snapshot with the entity and its incident edges removed."""
@@ -232,11 +324,47 @@ class SystemGraph:
             raise UnknownEntityError(entity)
         entities = dict(self._types)
         del entities[entity]
-        edges = {e for e in self._edges if entity not in (e[0], e[1])}
+        edges = {e for e in self.edges if entity not in (e[0], e[1])}
         return SystemGraph(self.model, entities, edges, validate=False)
 
     def __repr__(self) -> str:
-        return f"SystemGraph({len(self._types)} entities, {len(self._edges)} edges)"
+        return f"SystemGraph({len(self._types)} entities, {len(self.edges)} edges)"
+
+
+def _build_index(symmetric, edges) -> LabelIndex:
+    keys = {}  # label -> (key at the from end, key at the to end), one object each
+    neighbours: dict[str, dict] = {}
+    for from_id, to_id, label in edges:
+        ends = keys.get(label)
+        if ends is None:
+            ends = ((label, "sym"),) * 2 if label in symmetric else ((label, "out"), (label, "in"))
+            keys[label] = ends
+        from_key, to_key = ends
+        if from_id == to_id and from_key is to_key:
+            ends = ((from_id, from_key, to_id),)  # a symmetric loop is one incident edge
+        else:
+            ends = ((from_id, from_key, to_id), (to_id, to_key, from_id))
+        for node, key, other in ends:
+            table = neighbours.get(node)
+            if table is None:
+                neighbours[node] = {key: [other]}
+            elif key in table:
+                table[key].append(other)
+            else:
+                table[key] = [other]
+    comparisons: dict[str, int] = {}
+    alone: dict[str, tuple[str]] = {}  # one 1-tuple per entity, shared by every table it is alone in
+    for node, table in neighbours.items():
+        count = 0
+        for key, others in table.items():
+            if len(others) == 1:
+                table[key] = alone.setdefault(others[0], (others[0],))
+            else:
+                others.sort()
+                table[key] = tuple(others)
+            count += len(others) * (2 if key[1] == "sym" else 1)
+        comparisons[node] = count
+    return neighbours, comparisons
 
 
 def _edge_problems(model, types, from_id, to_id, label) -> list[str]:
@@ -276,7 +404,7 @@ def validate_graph(graph: SystemGraph) -> list[str]:
             problems.append(f"entity {entity!r} has unknown type {type_name!r}")
         if entity == "*":
             problems.append("entity id '*' is reserved for the wildcard object")
-    for from_id, to_id, label in sorted(graph._edges):
+    for from_id, to_id, label in sorted(graph.edges):
         known = all(e in types and types[e] in graph.model.types for e in (from_id, to_id))
         if known:
             problems.extend(_edge_problems(graph.model, types, from_id, to_id, label))

@@ -2,13 +2,14 @@
 
 :func:`match_path` decides whether a condition connects two entities by
 exploring (node, residual condition) work items.  Each dequeued item
-peels the residual's head edge condition against the node's incident
-edges; traversing an edge leaves the residual's suffix to satisfy from
-the neighbor.  A residual whose first factor is a zero-or-more
-repetition is unfolded on dequeue into its zero branch and its
-one-or-more branch, recursively, since zero branches can expose further
-repetitions.  A seen set over (node, residual) pairs bounds the work by
-:func:`work_bound`, |V| * (length + 2 * plus_count + 1).
+peels the residual's head edge condition: the graph's label index gives
+the neighbours its label and direction reach, and traversing an edge
+leaves the residual's suffix to satisfy from the neighbor.  A residual
+whose first factor is a zero-or-more repetition is unfolded on dequeue
+into its zero branch and its one-or-more branch, recursively, since
+zero branches can expose further repetitions.  A seen set over (node,
+residual) pairs bounds the work by :func:`work_bound`,
+|V| * (length + 2 * plus_count + 1).
 
 :func:`match_principals` runs an ordered rule list against a request
 and collects the principals of matching rules, either stopping at the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import SystemGraph, UnknownEntityError
+from .graph import IncidentEdge, SystemGraph, UnknownEntityError
 from .paths import (
     DIAMOND,
     Concat,
@@ -111,8 +112,10 @@ class MatchMetrics:
     """Instrumentation for one match_path run.
 
     ``nodes_visited`` counts distinct graph nodes dequeued,
-    ``edges_considered`` counts edge-versus-head comparisons (symmetric
-    edges count twice: both traversal senses are attempted), and
+    ``edges_considered`` counts the comparisons a scan of each active
+    branch's node's incident edges against its head would make (symmetric
+    edges count twice: both traversal senses are attempted), up to the
+    edge that ends a successful search, and
     ``pairs_seen`` is the size of the (node, residual) seen set, the
     quantity the termination bound speaks about.
     """
@@ -166,6 +169,13 @@ def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
     return len(graph) * (length(condition) + 2 * plus_count(condition) + 1)
 
 
+def _comparisons_through(graph: SystemGraph, node: str, hit: IncidentEdge) -> int:
+    """Edge comparisons of a scan over ``node``'s incident edges, in
+    their stored order, that stops at ``hit``."""
+    incident = graph.edges_incident(node)
+    return sum(2 if edge.direction == "sym" else 1 for edge in incident[: incident.index(hit) + 1])
+
+
 def match_path(
     graph: SystemGraph,
     source: str,
@@ -177,9 +187,10 @@ def match_path(
     """Decide whether ``condition`` connects ``source`` to ``target``.
 
     Deterministic: work items are processed first-in first-out and each
-    node's incident edges are iterated in their stored order, so
-    repeated runs report identical metrics.  ``trace`` receives one line
-    per dequeued work item.
+    node's neighbours are crossed in the order of its incident edges
+    (``out``, ``in``, then ``sym``, each by neighbour), so repeated runs
+    report identical metrics.  ``trace`` receives one line per dequeued
+    work item.
     """
     for entity in (source, target):
         if not graph.has_entity(entity):
@@ -192,6 +203,7 @@ def match_path(
         return MatchResult(source == target, metrics)
 
     bound = work_bound(graph, pi)
+    neighbours, comparisons = graph.label_index()
     seen: set[tuple[str, PathCondition]] = {(source, pi)}
     queue: deque[tuple[str, PathCondition]] = deque([(source, pi)])
     metrics.queue_peak = 1
@@ -222,31 +234,30 @@ def match_path(
                 seen.add((node, branch))
                 active.append(branch)
 
+        table = neighbours.get(node, {})
         enqueued = 0
         for branch in active:
             want = head(branch)
             rest = suffix(branch)
-            for neighbor, label, direction in graph.edges_incident(node):
-                if direction == "sym":
-                    # a symmetric edge is tried in both senses
-                    metrics.edges_considered += 2
-                    crossed = want.label == label
-                else:
-                    metrics.edges_considered += 1
-                    crossed = want.label == label and want.reversed == (direction == "in")
-                if not crossed:
-                    continue
-                if rest == DIAMOND:
-                    if neighbor == target:
-                        if trace:
-                            trace(f"{node}  [{render(residual, allow_star=True)}]  matched {target}")
-                        return finish(True)
-                    continue
-                item = (neighbor, rest)
-                if item not in seen:
-                    seen.add(item)
-                    queue.append(item)
-                    enqueued += 1
+            way = "in" if want.reversed else "out"
+            direct = table.get((want.label, way), ())
+            symmetric = table.get((want.label, "sym"), ())
+            if rest == DIAMOND:
+                if target in direct or target in symmetric:
+                    hit = IncidentEdge(target, want.label, way if target in direct else "sym")
+                    metrics.edges_considered += _comparisons_through(graph, node, hit)
+                    if trace:
+                        trace(f"{node}  [{render(residual, allow_star=True)}]  matched {target}")
+                    return finish(True)
+            else:
+                for others in (direct, symmetric):
+                    for neighbor in others:
+                        item = (neighbor, rest)
+                        if item not in seen:
+                            seen.add(item)
+                            queue.append(item)
+                            enqueued += 1
+            metrics.edges_considered += comparisons.get(node, 0)
         if len(queue) > metrics.queue_peak:
             metrics.queue_peak = len(queue)
         if trace:

@@ -153,8 +153,10 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         raise WorkspaceError([f"{source}: document must be a JSON object"])
     for key in sorted(set(data) - _TOP_LEVEL_KEYS):
         problems.append(f"unknown top-level key {key!r}")
-    if data.get("version") != FORMAT_VERSION:
-        problems.append(f"version must be {FORMAT_VERSION}, found {data.get('version')!r}")
+    version = data.get("version")
+    # True == 1 == 1.0 in Python, so the type is compared too
+    if type(version) is not int or version != FORMAT_VERSION:
+        problems.append(f"version must be {FORMAT_VERSION}, found {version!r}")
     for key in ("model", "graph", "authorization_system"):
         if not isinstance(data.get(key), dict):
             problems.append(f"missing or malformed {key!r} section")

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebac import DecisionTrace, dumps_workspace, load_workspace, make_fixture, oracle_satisfies
 from rebac.cli import main
 from rebac.paths import MAX_DEPTH, PathSyntaxError, parse
+
+from strategies import DOCUMENTS, workspace_texts
 
 
 @pytest.fixture()
@@ -364,3 +373,56 @@ def test_conditions_past_the_depth_limit_are_named_violations(tmp_path, unix_fil
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["match", "-w", unix_file, "-s", "alice", "-t", "file1", "-p", text]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+DECISION = re.compile(r"(ALLOW|DENY)( \(.+\))?")
+ODD_ARGUMENTS = st.none() | st.sampled_from(["", "*", "ghost", "-x", "--", "-s"]) | st.text(max_size=6)
+
+
+@st.composite
+def eval_invocations(draw):
+    """A workspace file's text (None: no such file) and ``eval``
+    arguments, mostly entities and actions of the fixture it came from."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    text = None if draw(st.integers(0, 7)) == 0 else draw(workspace_texts(name))
+    doc = DOCUMENTS[name]
+    entities = [e["id"] for e in doc["graph"]["entities"]]
+    actions = sorted({r["action"] for r in doc["authorization_system"]["auth_rules"]})
+    if draw(st.booleans()):  # one of the fixture's own requests, which include allowed ones
+        request = draw(st.sampled_from(doc["requests"]))
+        arguments = [request["subject"], request["object"], request["action"]]
+    else:
+        arguments = []
+        for usual in (entities, entities, actions):
+            arguments.append(draw(st.sampled_from(usual) if draw(st.integers(0, 3)) else ODD_ARGUMENTS))
+    flags = draw(st.sets(st.sampled_from(["--trace", "--metrics", "--explain"])))
+    return text, arguments, sorted(flags)
+
+
+@given(eval_invocations())
+@settings(max_examples=300, deadline=None)
+def test_eval_exits_0_or_1_only_after_printing_a_decision(invocation):
+    text, request_args, flags = invocation
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "ws.json")
+        if text is not None:  # None: no such file
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        argv = ["eval", "-w", path]
+        for option, value in zip(("-s", "-o", "-a"), request_args):
+            if value is not None:
+                argv += [option, value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv + flags)
+            except SystemExit as exc:  # argparse rejected the arguments
+                code = exc.code
+    decisions = [line for line in out.getvalue().splitlines() if DECISION.fullmatch(line)]
+    if code in (0, 1):
+        assert len(decisions) == 1
+        assert decisions[0].startswith("ALLOW" if code == 0 else "DENY")
+    else:
+        assert code == 2
+        assert decisions == []
+        assert err.getvalue()

@@ -122,3 +122,94 @@ def test_fixture_builders_return_fresh_objects(name):
     first, second = make_fixture(name), make_fixture(name)
     assert first is not second
     assert first.graph.entity_ids == second.graph.entity_ids
+
+
+# (found, pairs_seen, edges_considered, nodes_visited) from match_path, for each
+# request of a fixture (one list each, in order) and each of its rules; None for TOP
+FROZEN_WORK = {
+    "corporate": [
+        # Tech.#2 -> Test.Spec.#1
+        [
+            (False, 1, 3, 1), (False, 4, 17, 2), (False, 4, 17, 2), (False, 2, 10, 2),
+            (False, 5, 13, 4), (False, 2, 10, 2), (False, 5, 13, 4), (False, 2, 10, 2),
+            (True, 10, 17, 7), (False, 2, 10, 2), (True, 10, 17, 7), (False, 2, 7, 2),
+        ],
+        # Tech.#2 -> Func.Spec.#1
+        [
+            (False, 1, 3, 1), (False, 4, 17, 2), (False, 4, 17, 2), (False, 2, 10, 2),
+            (False, 5, 13, 4), (False, 2, 10, 2), (False, 5, 13, 4), (False, 2, 10, 2),
+            (True, 9, 16, 6), (False, 2, 10, 2), (True, 9, 16, 6), (False, 2, 7, 2),
+        ],
+        # Sales.#2 -> Func.Spec.#1
+        [
+            (False, 1, 3, 1), (False, 1, 3, 1), (False, 1, 3, 1), (False, 1, 3, 1),
+            (False, 1, 3, 1), (False, 2, 10, 2), (False, 5, 13, 4), (False, 1, 3, 1),
+            (False, 1, 3, 1), (False, 2, 10, 2), (True, 9, 16, 6), (False, 2, 6, 2),
+        ],
+        # CTO -> Proj.#1 Report#1
+        [
+            (False, 1, 2, 1), (False, 8, 28, 6), (True, 14, 33, 10), (False, 2, 6, 2),
+            (False, 2, 6, 2), (False, 1, 2, 1), (False, 1, 2, 1), (False, 2, 6, 2),
+            (False, 3, 7, 3), (False, 1, 2, 1), (False, 1, 2, 1), (False, 2, 5, 2),
+        ],
+        # CEO -> Proj.#1 Report#1
+        [
+            (False, 1, 1, 1), (False, 8, 18, 6), (False, 8, 18, 6), (False, 2, 4, 2),
+            (False, 2, 4, 2), (False, 1, 1, 1), (False, 1, 1, 1), (False, 2, 4, 2),
+            (False, 2, 4, 2), (False, 1, 1, 1), (False, 1, 1, 1), (False, 1, 1, 1),
+        ],
+    ],
+    "rbac": [
+        # alice -> commit-code
+        [
+            (True, 2, 2, 2), (True, 2, 2, 2), (False, 2, 4, 2), (False, 2, 4, 2),
+            (False, 1, 1, 1), (False, 1, 1, 1),
+        ],
+        # bob -> commit-code
+        [
+            (False, 2, 4, 2), (False, 2, 4, 2), (True, 5, 8, 3), (True, 5, 8, 3),
+            (False, 1, 1, 1), (False, 1, 1, 1),
+        ],
+        # bob -> approve-release
+        [
+            (True, 2, 2, 2), (True, 2, 2, 2), (False, 5, 10, 3), (False, 5, 10, 3),
+            (False, 1, 1, 1), (False, 1, 1, 1),
+        ],
+        # carol -> approve-release
+        [
+            (False, 1, 1, 1), (False, 1, 1, 1), (False, 1, 1, 1), (False, 1, 1, 1),
+            (True, 1, 1, 1), (True, 1, 1, 1),
+        ],
+        # carol -> commit-code
+        [
+            (False, 1, 1, 1), (False, 1, 1, 1), (False, 1, 1, 1), (False, 1, 1, 1),
+            (False, 1, 1, 1), (False, 1, 1, 1),
+        ],
+    ],
+    "unix": [
+        # alice -> file1
+        [(True, 1, 1, 1), (True, 2, 3, 2), None],
+        # bob -> file1
+        [(False, 1, 2, 1), (True, 2, 3, 2), None],
+        # carol -> file1
+        [(False, 1, 0, 1), (False, 1, 0, 1), None],
+        # bob -> file1
+        [(False, 1, 2, 1), (True, 2, 3, 2), None],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_WORK))
+def test_per_rule_work_is_frozen(name):
+    ws = make_fixture(name)
+    got = []
+    for request in ws.requests:
+        row = []
+        for rule in ws.system.principal_rules:
+            if rule.condition is TOP:
+                row.append(None)
+                continue
+            found, m = match_path(ws.graph, request.subject, request.object, rule.condition)
+            row.append((found, m.pairs_seen, m.edges_considered, m.nodes_visited))
+        got.append(row)
+    assert got == FROZEN_WORK[name]

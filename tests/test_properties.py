@@ -32,7 +32,7 @@ from rebac import (
     work_bound,
 )
 
-from strategies import LABELS, MODEL, conditions, graph_and_pair, graphs, simple_conditions
+from strategies import LABELS, MODEL, SYMMETRIC, conditions, graph_and_pair, graphs, simple_conditions
 
 
 @given(graph_and_pair(), conditions())
@@ -182,3 +182,59 @@ def test_functional_updates_preserve_wellformedness(graph):
     if graph.entity_ids:
         entity = sorted(graph.entity_ids)[0]
         assert validate_graph(graph.without_entity(entity)) == []
+
+
+def _answers(graph, conditions):
+    """Everything a snapshot answers, for comparing two snapshots."""
+    nodes = graph.entity_ids
+    return (
+        graph.edges,
+        [graph.edges_incident(v) for v in nodes],
+        [graph.has_edge(u, v, label) for u in nodes for v in nodes for label in LABELS],
+        [match_path(graph, u, v, pc) for u in nodes for v in nodes for pc in conditions],
+    )
+
+
+@given(graphs(max_nodes=4), st.lists(simple_conditions(max_leaves=4), min_size=1, max_size=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_updated_snapshots_equal_rebuilt_graphs(graph, conds, data):
+    pool = [f"n{i}" for i in range(5)]
+    entities = dict(graph.entity_types)
+    edges = set(graph.edges)
+    history = []  # (snapshot, its answers) of every snapshot so far
+    if data.draw(st.booleans(), label="index the first snapshot before updating it"):
+        history.append((graph, _answers(graph, conds)))
+    for _ in range(data.draw(st.integers(1, 6), label="updates")):
+        kind = data.draw(st.sampled_from(["with_edge", "without_edge", "with_entity", "without_entity"]))
+        if kind in ("with_edge", "without_edge"):
+            if edges and data.draw(st.booleans(), label="an edge that is present"):
+                u, v, label = data.draw(st.sampled_from(sorted(edges)))
+                if label in SYMMETRIC and data.draw(st.booleans(), label="reversed"):
+                    u, v = v, u
+            else:
+                nodes = sorted(entities)
+                u, v = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+                label = data.draw(st.sampled_from(LABELS))
+            graph = getattr(graph, kind)(u, v, label)
+            stored = (min(u, v), max(u, v), label) if label in SYMMETRIC else (u, v, label)
+            (edges.add if kind == "with_edge" else edges.discard)(stored)
+        elif kind == "with_entity":
+            absent = sorted(set(pool) - set(entities))
+            if not absent:
+                continue
+            entity = data.draw(st.sampled_from(absent))
+            graph = graph.with_entity(entity, "node")
+            entities[entity] = "node"
+        else:
+            if len(entities) == 1:
+                continue
+            entity = data.draw(st.sampled_from(sorted(entities)))
+            graph = graph.without_entity(entity)
+            del entities[entity]
+            edges = {e for e in edges if entity not in e[:2]}
+        answers = _answers(graph, conds)
+        assert answers == _answers(SystemGraph(MODEL, entities, edges), conds)
+        history.append((graph, answers))
+    # no update changed a table that an earlier snapshot shares
+    for snapshot, answers in history:
+        assert _answers(snapshot, conds) == answers

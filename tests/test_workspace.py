@@ -20,6 +20,8 @@ from rebac import (
 from rebac.fixtures import FIXTURES
 from rebac.matching import TOP
 
+from strategies import DOCUMENTS, JSON_VALUES, POSITIONS, json_type
+
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_documents_round_trip_byte_identically(name):
@@ -85,9 +87,11 @@ def test_non_object_document():
 
 
 def test_wrong_version():
-    doc = base()
-    doc["version"] = 2
-    assert "version must be 1, found 2" in violations(doc)
+    # True and 1.0 compare equal to 1 in Python, but are not the version 1
+    for version in (2, True, 1.0, "1"):
+        doc = base()
+        doc["version"] = version
+        assert f"version must be 1, found {version!r}" in violations(doc)
 
 
 def test_unknown_top_level_key():
@@ -252,25 +256,6 @@ def test_original_document_not_mutated_by_loading():
 # -- hostile JSON --------------------------------------------------------------
 
 
-def _positions(value, path=()):
-    # every section, list entry and record field below the document root
-    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, child in children:
-        yield path + (key,)
-        yield from _positions(child, path + (key,))
-
-
-def _json_type(value) -> str:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return "number"
-    return type(value).__name__
-
-
-DOCUMENTS = {name: json.loads(dumps_workspace(make_fixture(name))) for name in sorted(FIXTURES)}
-POSITIONS = [(name, path) for name, doc in DOCUMENTS.items() for path in _positions(doc)]
-JSON_VALUES = [None, True, False, 0, 7, 2.5, "", "ghost", [], ["ghost"], {}, {"id": "ghost"}]
-
-
 @given(st.sampled_from(POSITIONS), st.sampled_from(JSON_VALUES))
 @settings(max_examples=500, deadline=None)
 def test_a_value_of_another_json_type_loads_or_is_a_violation(position, value):
@@ -280,7 +265,7 @@ def test_a_value_of_another_json_type_loads_or_is_a_violation(position, value):
     container = doc
     for key in parents:
         container = container[key]
-    assume(_json_type(container[last]) != _json_type(value))
+    assume(json_type(container[last]) != json_type(value))
     container[last] = value
     try:
         loads_workspace(json.dumps(doc))
