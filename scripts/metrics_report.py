@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         return 1
     print_table(rows)
     print(f"\n{len(rows)} pairs over {len(workspace.graph)} entities, "
-          f"{len(workspace.graph.edges)} edges")
+          f"{workspace.graph.edge_count} edges")
     return 0
 
 

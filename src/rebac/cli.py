@@ -60,7 +60,7 @@ def _metrics_lines(trace) -> list[str]:
 def _cmd_validate(args) -> int:
     workspace = load_workspace(args.workspace)
     print(f"{args.workspace}: ok ({len(workspace.graph)} entities, "
-          f"{len(workspace.graph.edges)} edges, {len(workspace.system.principal_rules)} rules)")
+          f"{workspace.graph.edge_count} edges, {len(workspace.system.principal_rules)} rules)")
     return 0
 
 
@@ -161,6 +161,16 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, found {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rebac",
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("oracle-check", help="differential-check matcher vs oracle")
     workspace_option(p, required=False)
     p.add_argument("--seed", type=int, default=0, help="RNG seed for random trials")
-    p.add_argument("--trials", type=int, default=1000, help="number of random trials (0 to skip)")
+    p.add_argument("--trials", type=_count, default=1000, help="number of random trials (0 to skip)")
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -11,13 +11,19 @@ Symmetric edges are direction-free: they are stored once, with the
 lexicographically smaller endpoint first, and match in both directions.
 
 What a snapshot holds: the model, the entity table (id to type, with its
-sorted id tuple computed once), and a label index with two tables per
-node.  The first maps ``(label, direction)`` to the sorted tuple of
-neighbours reached that way, with direction ``out``, ``in`` or ``sym``.
-The second holds the node's comparison count ``out + in + 2·sym``: what
-one scan of all its incident edges costs the matcher, since a symmetric
-edge is tried in both senses.  A freshly constructed snapshot keeps its
-edge set and builds the index on its first query.
+sorted id tuple computed once), its edge count, and a label index with
+two tables per node.  The first maps ``(label, direction)`` to the sorted
+tuple of neighbours reached that way, with direction ``out``, ``in`` or
+``sym``.  The second holds the node's comparison count
+``out + in + 2·sym``: what one scan of all its incident edges costs the
+matcher, since a symmetric edge is tried in both senses.  A freshly
+constructed snapshot keeps its set of stored edges and builds the index
+on its first query, so a loaded workspace builds it only after the
+parsed JSON is gone.
+
+What validation costs: one hashed test per entity and per stored edge,
+against the ``(from_type, to_type, label)`` triples the model admits.
+Only the offending entities and edges are sorted and described.
 
 What an update copies: :meth:`SystemGraph.with_edge` and
 :meth:`SystemGraph.without_edge` share the entity table and every
@@ -130,7 +136,7 @@ class SystemGraph:
     """
 
     # _edges or _index may be None until first asked for, never both
-    __slots__ = ("model", "_types", "_ids", "_edges", "_index")
+    __slots__ = ("model", "_types", "_ids", "_edges", "_index", "_edge_count")
 
     def __init__(
         self,
@@ -148,22 +154,23 @@ class SystemGraph:
             if label in sym and to_id < from_id:
                 from_id, to_id = to_id, from_id
             stored.add((intern(from_id), intern(to_id), intern(label)))
-        self._init(model, types, None, frozenset(stored), None)
+        self._init(model, types, None, frozenset(stored), None, len(stored))
         if validate:
             problems = validate_model(model) + validate_graph(self)
             if problems:
                 raise GraphValidationError(problems)
 
-    def _init(self, model, types, ids, edges, index) -> None:
+    def _init(self, model, types, ids, edges, index, edge_count) -> None:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "_types", types)
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_edge_count", edge_count)
 
-    def _derived(self, types, ids, edges, index) -> "SystemGraph":
+    def _derived(self, types, ids, edges, index, edge_count) -> "SystemGraph":
         graph = object.__new__(SystemGraph)
-        graph._init(self.model, types, ids, edges, index)
+        graph._init(self.model, types, ids, edges, index, edge_count)
         return graph
 
     def __setattr__(self, name, value):
@@ -199,6 +206,11 @@ class SystemGraph:
             )
             object.__setattr__(self, "_edges", edges)
         return edges
+
+    @property
+    def edge_count(self) -> int:
+        """Number of stored edges, ``len(edges)``, without building the set."""
+        return self._edge_count
 
     def __contains__(self, entity: str) -> bool:
         return entity in self._types
@@ -271,7 +283,7 @@ class SystemGraph:
         entities = dict(self._types)
         entities[intern(entity)] = intern(type_name)
         # a new entity has no edges, so the edge set and the index carry over
-        return self._derived(entities, None, self._edges, self._index)
+        return self._derived(entities, None, self._edges, self._index, self._edge_count)
 
     def with_edge(self, from_id: str, to_id: str, label: str) -> "SystemGraph":
         """New snapshot with the edge added; rejects ill-formed additions."""
@@ -316,7 +328,8 @@ class SystemGraph:
                 neighbours[node] = table
             else:
                 del neighbours[node], comparisons[node]
-        return self._derived(self._types, self._ids, None, (neighbours, comparisons))
+        count = self._edge_count + (1 if add else -1)
+        return self._derived(self._types, self._ids, None, (neighbours, comparisons), count)
 
     def without_entity(self, entity: str) -> "SystemGraph":
         """New snapshot with the entity and its incident edges removed."""
@@ -328,18 +341,20 @@ class SystemGraph:
         return SystemGraph(self.model, entities, edges, validate=False)
 
     def __repr__(self) -> str:
-        return f"SystemGraph({len(self._types)} entities, {len(self.edges)} edges)"
+        return f"SystemGraph({len(self._types)} entities, {self._edge_count} edges)"
 
 
 def _build_index(symmetric, edges) -> LabelIndex:
-    keys = {}  # label -> (key at the from end, key at the to end), one object each
+    keys = {}  # label -> (key at the from end, key at the to end, weight), one key object each
+    alone: dict[str, tuple[str]] = {}  # one 1-tuple per entity, shared by every table it is alone in
     neighbours: dict[str, dict] = {}
+    comparisons: dict[str, int] = {}
     for from_id, to_id, label in edges:
         ends = keys.get(label)
         if ends is None:
-            ends = ((label, "sym"),) * 2 if label in symmetric else ((label, "out"), (label, "in"))
+            ends = ((label, "sym"),) * 2 + (2,) if label in symmetric else ((label, "out"), (label, "in"), 1)
             keys[label] = ends
-        from_key, to_key = ends
+        from_key, to_key, weight = ends
         if from_id == to_id and from_key is to_key:
             ends = ((from_id, from_key, to_id),)  # a symmetric loop is one incident edge
         else:
@@ -347,23 +362,26 @@ def _build_index(symmetric, edges) -> LabelIndex:
         for node, key, other in ends:
             table = neighbours.get(node)
             if table is None:
-                neighbours[node] = {key: [other]}
-            elif key in table:
-                table[key].append(other)
+                table = neighbours[node] = {}
+                comparisons[node] = weight
             else:
-                table[key] = [other]
-    comparisons: dict[str, int] = {}
-    alone: dict[str, tuple[str]] = {}  # one 1-tuple per entity, shared by every table it is alone in
-    for node, table in neighbours.items():
-        count = 0
+                comparisons[node] += weight
+            # a key holds a shared 1-tuple until its second neighbour makes it a list
+            others = table.get(key)
+            if others is None:
+                one = alone.get(other)
+                if one is None:
+                    one = alone[other] = (other,)
+                table[key] = one
+            elif type(others) is tuple:
+                table[key] = [others[0], other]
+            else:
+                others.append(other)
+    for table in neighbours.values():
         for key, others in table.items():
-            if len(others) == 1:
-                table[key] = alone.setdefault(others[0], (others[0],))
-            else:
+            if type(others) is list:
                 others.sort()
                 table[key] = tuple(others)
-            count += len(others) * (2 if key[1] == "sym" else 1)
-        comparisons[node] = count
     return neighbours, comparisons
 
 
@@ -389,23 +407,44 @@ def _edge_problems(model, types, from_id, to_id, label) -> list[str]:
     return problems
 
 
+def _admissible(model: SystemModel) -> set[tuple[str, str, str]]:
+    """The ``(from_type, to_type, label)`` triples a stored edge may carry.
+
+    These are the permissible triples over declared types and labels, a
+    symmetric label's in both orientations.  Triples naming anything
+    undeclared are left out, so an edge whose entity or label is unknown
+    is never admitted and reaches :func:`_edge_problems` to be described.
+    """
+    types, labels, symmetric = model.types, model.labels, model.symmetric
+    admissible = set()
+    for from_type, to_type, label in model.permissible:
+        if from_type in types and to_type in types and label in labels:
+            admissible.add((from_type, to_type, label))
+            if label in symmetric:
+                admissible.add((to_type, from_type, label))
+    return admissible
+
+
 def validate_graph(graph: SystemGraph) -> list[str]:
     """Well-formedness violations of the graph under its model.
 
     Checks entity types against the model and every edge against the
     vocabulary and the permissible triples.  Returns messages; an empty
-    list means well-formed.
+    list means well-formed.  Each entity and edge costs one hashed test;
+    only the offending ones are sorted and described.
     """
     problems = []
-    types = graph._types
-    for entity in sorted(types):
+    types, known_types = graph._types, graph.model.types
+    for entity in sorted(e for e, t in types.items() if t not in known_types or e == "*"):
         type_name = types[entity]
-        if type_name not in graph.model.types:
+        if type_name not in known_types:
             problems.append(f"entity {entity!r} has unknown type {type_name!r}")
         if entity == "*":
             problems.append("entity id '*' is reserved for the wildcard object")
-    for from_id, to_id, label in sorted(graph.edges):
-        known = all(e in types and types[e] in graph.model.types for e in (from_id, to_id))
+    admissible, type_of = _admissible(graph.model), types.get
+    offending = [(f, t, l) for f, t, l in graph.edges if (type_of(f), type_of(t), l) not in admissible]
+    for from_id, to_id, label in sorted(offending):
+        known = all(e in types and types[e] in known_types for e in (from_id, to_id))
         if known:
             problems.extend(_edge_problems(graph.model, types, from_id, to_id, label))
         else:

@@ -113,19 +113,29 @@ def _records(data, key, problems, where) -> list[tuple]:
 
     A record that is not an object with a value of the declared type in
     every field is reported by its name, formatted with its 0-based
-    position ``i`` or 1-based position ``n``, and skipped.
+    position ``i`` or 1-based position ``n``, and skipped.  A list of
+    well-formed records is checked one field at a time, in bulk; only a
+    list holding a malformed record is walked record by record.
     """
     name, fields = _RECORDS[key]
+    values = itemgetter(*fields)
+    types = tuple(fields.values())  # decoded JSON values have exactly these types
+    items = _expect_list(data, key, problems, where)
+    try:
+        records = list(map(values, items))
+    except (KeyError, TypeError):  # a field is missing, or an item is not an object
+        pass
+    else:
+        if all({*map(type, map(itemgetter(j), records))} <= {t} for j, t in enumerate(types)):
+            return records
     strings = "/".join(k for k, t in fields.items() if t is str)
     booleans = "/".join(k for k, t in fields.items() if t is bool)
     shape = f"an object with string {strings}" + (f" and boolean {booleans}" if booleans else "")
-    values = itemgetter(*fields)
-    types = tuple(fields.values())  # decoded JSON values have exactly these types
     records = []
-    for i, item in enumerate(_expect_list(data, key, problems, where)):
+    for i, item in enumerate(items):
         try:
             record = values(item)
-        except (KeyError, TypeError):  # a field is missing, or not an object
+        except (KeyError, TypeError):
             record = ()
         if tuple(map(type, record)) == types:
             records.append(record)

@@ -249,6 +249,15 @@ def test_oracle_check_random_only(capsys):
     assert capsys.readouterr().out == "50/50 agree\n"
 
 
+def test_oracle_check_rejects_a_negative_trial_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--trials", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --trials: must be 0 or more, found -3" in captured.err
+
+
 def test_missing_workspace_file_exits_2(capsys):
     assert main(["validate", "--workspace", "/nonexistent/ws.json"]) == 2
     assert capsys.readouterr().err != ""

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebac import (
     GraphValidationError,
@@ -187,3 +189,146 @@ def test_without_edge_never_breaks_wellformedness(fragment_graph):
 def test_snapshots_are_immutable(fragment_graph):
     with pytest.raises(AttributeError):
         fragment_graph.model = None
+
+
+def test_edge_count_does_not_build_the_edge_set(fragment_graph, monkeypatch):
+    def snapshots():
+        added = fragment_graph.with_edge("D1", "F1", "Member-of")
+        removed = added.without_edge("U1", "P1", "Supervises")
+        return [fragment_graph, added, removed, removed.without_edge("U1", "P1", "Supervises")]
+
+    counts = [len(g.edges) for g in snapshots()]
+    assert counts == [6, 7, 6, 6]
+
+    def no_edge_set(graph):
+        raise AssertionError("the edge set was built")
+
+    monkeypatch.setattr(SystemGraph, "edges", property(no_edge_set))
+    fresh = snapshots()
+    assert [g.edge_count for g in fresh] == counts
+    assert [repr(g) for g in fresh] == [f"SystemGraph(6 entities, {count} edges)" for count in counts]
+
+
+# -- validate_graph against a walk over every entity and edge ---------------
+
+TYPE_POOL = ["t", "u", "v"]
+LABEL_POOL = ["a", "b", "s", "z"]
+ID_POOL = ["x", "y", "w", "*", "ghost"]
+
+
+def _reference_violations(graph: SystemGraph) -> list[str]:
+    """Every entity and every stored edge, each described in sorted order."""
+    model, types = graph.model, graph.entity_types
+    problems = []
+    for entity in sorted(types):
+        if types[entity] not in model.types:
+            problems.append(f"entity {entity!r} has unknown type {types[entity]!r}")
+        if entity == "*":
+            problems.append("entity id '*' is reserved for the wildcard object")
+    for from_id, to_id, label in sorted(graph.edges):
+        edge = f"edge ({from_id!r}, {to_id!r}, {label!r})"
+        if not all(e in types and types[e] in model.types for e in (from_id, to_id)):
+            problems.extend(f"{edge}: unknown entity {e!r}" for e in (from_id, to_id) if e not in types)
+            continue
+        if label not in model.labels:
+            problems.append(f"{edge}: unknown label {label!r}")
+            continue
+        from_type, to_type = types[from_id], types[to_id]
+        allowed = (from_type, to_type, label) in model.permissible or (
+            label in model.symmetric and (to_type, from_type, label) in model.permissible
+        )
+        if not allowed:
+            problems.append(f"{edge}: ({from_type!r}, {to_type!r}, {label!r}) is not permissible")
+    return problems
+
+
+@st.composite
+def unchecked_graphs(draw):
+    """Models with undeclared symmetric labels and dangling permissible
+    triples; entities of unknown types and the ``*`` id; edges to unknown
+    entities and with unknown labels, duplicated, looped and given in
+    both orientations."""
+    model = SystemModel(
+        types=draw(st.sets(st.sampled_from(TYPE_POOL), min_size=1)),
+        labels=draw(st.sets(st.sampled_from(LABEL_POOL), min_size=1)),
+        symmetric=draw(st.sets(st.sampled_from(LABEL_POOL))),
+        permissible=draw(st.lists(st.tuples(*[st.sampled_from(TYPE_POOL)] * 2, st.sampled_from(LABEL_POOL)))),
+    )
+    entities = draw(st.dictionaries(st.sampled_from(ID_POOL[:-1]), st.sampled_from(TYPE_POOL)))
+    edges = draw(st.lists(st.tuples(*[st.sampled_from(ID_POOL)] * 2, st.sampled_from(LABEL_POOL)), max_size=12))
+    reversed_copies = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges += [(to_id, from_id, label) for from_id, to_id, label in reversed_copies]
+    return model, entities, edges
+
+
+@given(unchecked_graphs())
+@settings(max_examples=400, deadline=None)
+def test_validate_graph_messages_and_order_are_exact(case):
+    model, entities, edges = case
+    graph = SystemGraph(model, entities, edges, validate=False)
+    expected = _reference_violations(graph)
+    assert validate_graph(graph) == expected
+    problems = validate_model(model) + expected
+    try:
+        SystemGraph(model, entities, edges)
+    except GraphValidationError as exc:
+        assert exc.violations == problems
+    else:
+        assert problems == []
+
+
+# -- the label index against tables computed from raw triples -----------------
+
+INDEX_MODEL = SystemModel(["node"], ["a", "b", "c"], ["c"], [("node", "node", label) for label in "abc"])
+NODES = ["n0", "n1", "n2", "n3"]
+DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
+
+
+def _expected_index(triples):
+    """Stored edges, per-node ``(label, direction) -> sorted neighbours``
+    tables and comparison counts, from raw triples."""
+    stored = {(min(u, v), max(u, v), l) if l == "c" else (u, v, l) for u, v, l in triples}
+    sets: dict[str, dict] = {}
+    for u, v, label in stored:
+        ends = [(u, "sym", v), (v, "sym", u)] if label == "c" else [(u, "out", v), (v, "in", u)]
+        for node, direction, other in ends:
+            sets.setdefault(node, {}).setdefault((label, direction), set()).add(other)
+    tables = {node: {key: tuple(sorted(others)) for key, others in table.items()} for node, table in sets.items()}
+    comparisons = {
+        node: sum(len(others) * (2 if direction == "sym" else 1) for (_, direction), others in table.items())
+        for node, table in tables.items()
+    }
+    return stored, tables, comparisons
+
+
+@st.composite
+def raw_triples(draw):
+    """Triples with duplicates, reversed copies (so symmetric edges come in
+    both orientations) and symmetric loops."""
+    triples = draw(st.lists(st.tuples(*[st.sampled_from(NODES)] * 2, st.sampled_from("abc")), max_size=16))
+    if triples:
+        triples += draw(st.lists(st.sampled_from(triples), max_size=4))
+        triples += [(v, u, label) for u, v, label in draw(st.lists(st.sampled_from(triples), max_size=4))]
+    return triples + [(u, u, "c") for u in draw(st.lists(st.sampled_from(NODES), max_size=2))]
+
+
+@given(raw_triples())
+@settings(max_examples=300, deadline=None)
+def test_fresh_label_index_matches_tables_built_from_raw_triples(triples):
+    stored, tables, comparisons = _expected_index(triples)
+    graph = SystemGraph(INDEX_MODEL, {n: "node" for n in NODES}, triples)
+    assert graph.label_index() == (tables, comparisons)
+    assert graph.edges == stored
+    assert graph.edge_count == len(stored)
+    for u in NODES:
+        incident = [
+            IncidentEdge(other, label, direction)
+            for (label, direction), others in tables.get(u, {}).items()
+            for other in others
+        ]
+        incident.sort(key=lambda e: (DIRECTION_RANK[e.direction], e.neighbor, e.label))
+        assert graph.edges_incident(u) == tuple(incident)
+        for v in NODES:
+            for label in "abc":
+                expected = (min(u, v), max(u, v), label) in stored if label == "c" else (u, v, label) in stored
+                assert graph.has_edge(u, v, label) == expected

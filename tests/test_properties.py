@@ -189,6 +189,7 @@ def _answers(graph, conditions):
     nodes = graph.entity_ids
     return (
         graph.edges,
+        graph.edge_count,
         [graph.edges_incident(v) for v in nodes],
         [graph.has_edge(u, v, label) for u in nodes for v in nodes for label in LABELS],
         [match_path(graph, u, v, pc) for u in nodes for v in nodes for pc in conditions],
