@@ -11,7 +11,6 @@ matcher.
 from .graph import (
     GraphError,
     GraphValidationError,
-    IncidentEdge,
     SystemGraph,
     SystemModel,
     UnknownEntityError,
@@ -41,7 +40,6 @@ from .paths import (
     Reverse,
     Star,
     UnknownLabelError,
-    canonical_equal,
     head,
     length,
     parse,

@@ -16,23 +16,24 @@ two tables per node.  The first maps ``(label, direction)`` to the sorted
 tuple of neighbours reached that way, with direction ``out``, ``in`` or
 ``sym``.  The second holds the node's comparison count
 ``out + in + 2·sym``: what one scan of all its incident edges costs the
-matcher, since a symmetric edge is tried in both senses.  A freshly
-constructed snapshot keeps its set of stored edges and builds the index
-on its first query, so a loaded workspace builds it only after the
-parsed JSON is gone.
+matcher, since a symmetric edge is tried in both senses.  The index is
+the only copy of the edges: the constructor collapses the triples it is
+given into a transient set, validates that set, builds the index from it
+and drops it; ``edges`` and ``edges_incident`` are derived from the index
+on each call.
 
 What validation costs: one hashed test per entity and per stored edge,
 against the ``(from_type, to_type, label)`` triples the model admits.
 Only the offending entities and edges are sorted and described.
 
-What an update copies: :meth:`SystemGraph.with_edge` and
-:meth:`SystemGraph.without_edge` share the entity table and every
-untouched node's tables.  They copy only the two top-level node maps,
-rebuild the tables of the edge's two endpoints, and validate only the
-new edge, so an update never re-sorts or re-walks the graph.  A derived
-snapshot computes ``edges`` and ``edges_incident`` from the index on
-demand.  Edge endpoints are the entity table's own key strings, so the
-index holds one string object per entity, not one per edge end.
+What an update copies: :meth:`SystemGraph.with_edge`,
+:meth:`SystemGraph.without_edge` and :meth:`SystemGraph.without_entity`
+share every untouched node's tables.  They copy only the two top-level
+node maps and rebuild the tables of the nodes whose edges change, and
+``with_edge`` validates only the new edge, so an update never re-sorts
+or re-walks the graph.  Edge endpoints are the entity table's own key
+strings, so the index holds one string object per entity, not one per
+edge end.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from sys import intern
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal
 
 __all__ = [
     "GraphError",
@@ -49,7 +50,6 @@ __all__ = [
     "GraphValidationError",
     "SystemModel",
     "SystemGraph",
-    "IncidentEdge",
     "validate_model",
     "validate_graph",
 ]
@@ -75,17 +75,11 @@ class GraphValidationError(GraphError):
 
 Direction = Literal["out", "in", "sym"]
 
-_DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
+# the order in which edges_incident lists direction groups; the
+# matcher's recount of a scan that ends early follows it
+DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
 
-
-class IncidentEdge(NamedTuple):
-    neighbor: str
-    label: str
-    direction: Direction
-
-
-def _incident_order(edge: IncidentEdge):
-    return (_DIRECTION_RANK[edge.direction], edge.neighbor, edge.label)
+_OPPOSITE = {"out": "in", "in": "out", "sym": "sym"}
 
 
 # node -> (label, direction) -> sorted neighbours, and node -> comparison count
@@ -128,15 +122,15 @@ class SystemGraph:
     """Immutable snapshot of the entity multigraph.
 
     ``entities`` maps entity id (a string) to type name; ``edges`` is any
-    iterable of (from, to, label) triples.  Duplicate triples collapse.
-    By default construction validates the model and graph and raises
-    :class:`GraphValidationError`; pass ``validate=False`` to build an
-    unchecked snapshot and inspect :func:`validate_graph` output
-    instead.
+    iterable of (from, to, label) triples, read in one pass before the
+    index is built.  Duplicate triples collapse.  The label index is the
+    snapshot's only copy of the edges.  By default construction validates
+    the model and graph and raises :class:`GraphValidationError` before
+    building the index; pass ``validate=False`` to build an unchecked
+    snapshot and inspect :func:`validate_graph` output instead.
     """
 
-    # _edges or _index may be None until first asked for, never both
-    __slots__ = ("model", "_types", "_ids", "_edges", "_index", "_edge_count")
+    __slots__ = ("model", "_types", "_ids", "_index", "_edge_count")
 
     def __init__(
         self,
@@ -154,23 +148,22 @@ class SystemGraph:
             if label in sym and to_id < from_id:
                 from_id, to_id = to_id, from_id
             stored.add((intern(from_id), intern(to_id), intern(label)))
-        self._init(model, types, None, frozenset(stored), None, len(stored))
         if validate:
-            problems = validate_model(model) + validate_graph(self)
+            problems = validate_model(model) + _graph_problems(model, types, stored)
             if problems:
                 raise GraphValidationError(problems)
+        self._init(model, types, None, _build_index(sym, stored), len(stored))
 
-    def _init(self, model, types, ids, edges, index, edge_count) -> None:
+    def _init(self, model, types, ids, index, edge_count) -> None:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "_types", types)
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_edge_count", edge_count)
 
-    def _derived(self, types, ids, edges, index, edge_count) -> "SystemGraph":
+    def _derived(self, types, ids, index, edge_count) -> "SystemGraph":
         graph = object.__new__(SystemGraph)
-        graph._init(self.model, types, ids, edges, index, edge_count)
+        graph._init(self.model, types, ids, index, edge_count)
         return graph
 
     def __setattr__(self, name, value):
@@ -192,20 +185,16 @@ class SystemGraph:
 
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
-        """Stored triples; symmetric ones have the smaller endpoint first."""
-        edges = self._edges
-        if edges is None:
-            neighbours, _ = self._index
-            edges = frozenset(
-                (node, other, label)
-                for node, table in neighbours.items()
-                for (label, direction), others in table.items()
-                if direction != "in"
-                for other in others
-                if direction == "out" or node <= other
-            )
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        """Stored triples; symmetric ones have the smaller endpoint first.
+        Derived from the label index on each call."""
+        return frozenset(
+            (node, other, label)
+            for node, table in self._index[0].items()
+            for (label, direction), others in table.items()
+            if direction != "in"
+            for other in others
+            if direction == "out" or node <= other
+        )
 
     @property
     def edge_count(self) -> int:
@@ -233,14 +222,11 @@ class SystemGraph:
         Symmetric labels hold in both directions; for other labels the
         (from, to, label) and (to, from, label) triples are independent.
         """
-        table = (self._index or self.label_index())[0].get(from_id)
-        if table is None:
-            return False
-        others = table.get((label, "sym" if label in self.model.symmetric else "out"))
-        return others is not None and to_id in others
+        key = (label, "sym" if label in self.model.symmetric else "out")
+        return to_id in self._index[0].get(from_id, {}).get(key, ())
 
-    def edges_incident(self, entity: str) -> tuple[IncidentEdge, ...]:
-        """Edges touching ``entity``, in a deterministic order.
+    def edges_incident(self, entity: str) -> tuple[tuple[str, str, Direction], ...]:
+        """Edges touching ``entity`` as ``(neighbor, label, direction)``.
 
         Order: all ``out`` edges, then ``in``, then ``sym``, each group
         sorted by (neighbor, label).  Symmetric edges appear once per
@@ -249,41 +235,29 @@ class SystemGraph:
         """
         if entity not in self._types:
             raise UnknownEntityError(entity)
-        table = self.label_index()[0].get(entity, {})
-        incident = [
-            IncidentEdge(other, label, direction)
-            for (label, direction), others in table.items()
-            for other in others
-        ]
-        incident.sort(key=_incident_order)
-        return tuple(incident)
+        table = self._index[0].get(entity, {})
+        incident = [(other, label, direction) for (label, direction), others in table.items() for other in others]
+        return tuple(sorted(incident, key=lambda edge: (DIRECTION_RANK[edge[2]], edge)))
 
     def label_index(self) -> LabelIndex:
         """``(neighbours, comparisons)``: per node, its ``(label,
         direction) -> sorted neighbours`` table and its comparison count
         ``out + in + 2·sym``.  Nodes without edges are absent from both.
         Snapshots share these tables; callers must not change them."""
-        index = self._index
-        if index is None:
-            index = _build_index(self.model.symmetric, self._edges)
-            object.__setattr__(self, "_index", index)
-        return index
+        return self._index
 
     # -- functional updates ----------------------------------------------
 
     def with_entity(self, entity: str, type_name: str) -> "SystemGraph":
         """New snapshot with the entity added; rejects ill-formed additions."""
-        problems = []
-        if entity in self._types:
-            problems.append(f"entity {entity!r} already exists")
-        if type_name not in self.model.types:
-            problems.append(f"entity {entity!r} has unknown type {type_name!r}")
+        problems = [f"entity {entity!r} already exists"] if entity in self._types else []
+        problems += _entity_problems(self.model, entity, type_name)
         if problems:
             raise GraphValidationError(problems)
         entities = dict(self._types)
         entities[intern(entity)] = intern(type_name)
-        # a new entity has no edges, so the edge set and the index carry over
-        return self._derived(entities, None, self._edges, self._index, self._edge_count)
+        # a new entity has no edges, so the index carries over
+        return self._derived(entities, None, self._index, self._edge_count)
 
     def with_edge(self, from_id: str, to_id: str, label: str) -> "SystemGraph":
         """New snapshot with the edge added; rejects ill-formed additions."""
@@ -296,40 +270,18 @@ class SystemGraph:
         return self._edge_update(from_id, to_id, label, add=False)
 
     def _edge_update(self, from_id: str, to_id: str, label: str, *, add: bool) -> "SystemGraph":
-        neighbours, comparisons = self.label_index()
-        symmetric = label in self.model.symmetric
-        present = (label, "sym" if symmetric else "out")
-        if (to_id in neighbours.get(from_id, {}).get(present, ())) == add:
+        if self.has_edge(from_id, to_id, label) == add:
             return self
         # both ends are entities here; interning yields the entity table's keys
         from_id, to_id, label = intern(from_id), intern(to_id), intern(label)
-        if not symmetric:
-            ends = [(from_id, (label, "out"), to_id, 1), (to_id, (label, "in"), from_id, 1)]
-        elif from_id == to_id:
-            ends = [(from_id, (label, "sym"), to_id, 2)]  # a symmetric loop is one incident edge
-        else:
-            ends = [(from_id, (label, "sym"), to_id, 2), (to_id, (label, "sym"), from_id, 2)]
-        neighbours, comparisons = dict(neighbours), dict(comparisons)
-        for node, key, other, weight in ends:
-            table = dict(neighbours.get(node, {}))
-            others = table.get(key, ())
-            if add:
-                i = bisect_left(others, other)
-                table[key] = others[:i] + (other,) + others[i:]
-                comparisons[node] = comparisons.get(node, 0) + weight
-            else:
-                others = tuple(o for o in others if o != other)
-                if others:
-                    table[key] = others
-                else:
-                    del table[key]
-                comparisons[node] -= weight
-            if table:
-                neighbours[node] = table
-            else:
-                del neighbours[node], comparisons[node]
+        direction = "sym" if label in self.model.symmetric else "out"
+        ends = [(from_id, (label, direction), to_id)]
+        if from_id != to_id or direction == "out":  # a symmetric loop is one incident edge
+            ends.append((to_id, (label, _OPPOSITE[direction]), from_id))
+        neighbours, comparisons = dict(self._index[0]), dict(self._index[1])
+        _edit(neighbours, comparisons, ends, add)
         count = self._edge_count + (1 if add else -1)
-        return self._derived(self._types, self._ids, None, (neighbours, comparisons), count)
+        return self._derived(self._types, self._ids, (neighbours, comparisons), count)
 
     def without_entity(self, entity: str) -> "SystemGraph":
         """New snapshot with the entity and its incident edges removed."""
@@ -337,11 +289,49 @@ class SystemGraph:
             raise UnknownEntityError(entity)
         entities = dict(self._types)
         del entities[entity]
-        edges = {e for e in self.edges if entity not in (e[0], e[1])}
-        return SystemGraph(self.model, entities, edges, validate=False)
+        neighbours, comparisons = dict(self._index[0]), dict(self._index[1])
+        table = neighbours.pop(entity, {})
+        comparisons.pop(entity, None)
+        # each neighbour loses its entries for the entity; the entity's own tables go whole
+        ends = [
+            (other, (label, _OPPOSITE[direction]), entity)
+            for (label, direction), others in table.items()
+            for other in others
+            if other != entity
+        ]
+        _edit(neighbours, comparisons, ends, add=False)
+        # a directed loop is listed under both "out" and "in"; count it once
+        removed = sum(len(others) - (direction == "in" and entity in others) for (_, direction), others in table.items())
+        return self._derived(entities, None, (neighbours, comparisons), self._edge_count - removed)
 
     def __repr__(self) -> str:
         return f"SystemGraph({len(self._types)} entities, {self._edge_count} edges)"
+
+
+def _edit(neighbours: dict, comparisons: dict, ends, add: bool) -> None:
+    """Add or remove each ``(node, key, other)`` entry of ``ends`` in the
+    top-level maps given, which the caller has copied.  Each changed
+    node's table is copied first, so snapshots that share the old table
+    keep it."""
+    for node, key, other in ends:
+        weight = 2 if key[1] == "sym" else 1
+        table = dict(neighbours.get(node, {}))
+        others = table.get(key, ())
+        if add:
+            i = bisect_left(others, other)
+            table[key] = others[:i] + (other,) + others[i:]
+            comparisons[node] = comparisons.get(node, 0) + weight
+        else:
+            others = tuple(o for o in others if o != other)
+            if others:
+                table[key] = others
+            else:
+                del table[key]
+            comparisons[node] -= weight
+        if table:
+            neighbours[node] = table
+        else:
+            del neighbours[node], comparisons[node]
 
 
 def _build_index(symmetric, edges) -> LabelIndex:
@@ -425,6 +415,31 @@ def _admissible(model: SystemModel) -> set[tuple[str, str, str]]:
     return admissible
 
 
+def _entity_problems(model: SystemModel, entity: str, type_name: str) -> list[str]:
+    problems = []
+    if type_name not in model.types:
+        problems.append(f"entity {entity!r} has unknown type {type_name!r}")
+    if entity == "*":
+        problems.append("entity id '*' is reserved for the wildcard object")
+    return problems
+
+
+def _graph_problems(model: SystemModel, types: Mapping[str, str], edges) -> list[str]:
+    """:func:`validate_graph` over an entity table and stored triples."""
+    problems, known_types = [], model.types
+    for entity in sorted(e for e, t in types.items() if t not in known_types or e == "*"):
+        problems.extend(_entity_problems(model, entity, types[entity]))
+    admissible, type_of = _admissible(model), types.get
+    offending = [(f, t, l) for f, t, l in edges if (type_of(f), type_of(t), l) not in admissible]
+    for from_id, to_id, label in sorted(offending):
+        if all(e in types and types[e] in known_types for e in (from_id, to_id)):
+            problems.extend(_edge_problems(model, types, from_id, to_id, label))
+        else:
+            edge = f"edge ({from_id!r}, {to_id!r}, {label!r})"
+            problems.extend(f"{edge}: unknown entity {e!r}" for e in (from_id, to_id) if e not in types)
+    return problems
+
+
 def validate_graph(graph: SystemGraph) -> list[str]:
     """Well-formedness violations of the graph under its model.
 
@@ -433,22 +448,4 @@ def validate_graph(graph: SystemGraph) -> list[str]:
     list means well-formed.  Each entity and edge costs one hashed test;
     only the offending ones are sorted and described.
     """
-    problems = []
-    types, known_types = graph._types, graph.model.types
-    for entity in sorted(e for e, t in types.items() if t not in known_types or e == "*"):
-        type_name = types[entity]
-        if type_name not in known_types:
-            problems.append(f"entity {entity!r} has unknown type {type_name!r}")
-        if entity == "*":
-            problems.append("entity id '*' is reserved for the wildcard object")
-    admissible, type_of = _admissible(graph.model), types.get
-    offending = [(f, t, l) for f, t, l in graph.edges if (type_of(f), type_of(t), l) not in admissible]
-    for from_id, to_id, label in sorted(offending):
-        known = all(e in types and types[e] in known_types for e in (from_id, to_id))
-        if known:
-            problems.extend(_edge_problems(graph.model, types, from_id, to_id, label))
-        else:
-            for endpoint in (from_id, to_id):
-                if endpoint not in types:
-                    problems.append(f"edge ({from_id!r}, {to_id!r}, {label!r}): unknown entity {endpoint!r}")
-    return problems
+    return _graph_problems(graph.model, graph._types, graph.edges)

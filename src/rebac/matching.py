@@ -18,12 +18,13 @@ first match or evaluating every rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import IncidentEdge, SystemGraph, UnknownEntityError
+from .graph import DIRECTION_RANK, SystemGraph, UnknownEntityError
 from .paths import (
     DIAMOND,
     Concat,
@@ -169,13 +170,6 @@ def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
     return len(graph) * (length(condition) + 2 * plus_count(condition) + 1)
 
 
-def _comparisons_through(graph: SystemGraph, node: str, hit: IncidentEdge) -> int:
-    """Edge comparisons of a scan over ``node``'s incident edges, in
-    their stored order, that stops at ``hit``."""
-    incident = graph.edges_incident(node)
-    return sum(2 if edge.direction == "sym" else 1 for edge in incident[: incident.index(hit) + 1])
-
-
 def match_path(
     graph: SystemGraph,
     source: str,
@@ -244,8 +238,15 @@ def match_path(
             symmetric = table.get((want.label, "sym"), ())
             if rest == DIAMOND:
                 if target in direct or target in symmetric:
-                    hit = IncidentEdge(target, want.label, way if target in direct else "sym")
-                    metrics.edges_considered += _comparisons_through(graph, node, hit)
+                    # recount a scan of the incident edges (direction groups in
+                    # rank order, each by neighbour, then label) that stops at the hit
+                    hit = DIRECTION_RANK[way if target in direct else "sym"]
+                    for (label, direction), others in table.items():
+                        rank = DIRECTION_RANK[direction]
+                        if rank <= hit:
+                            cut = bisect_right if label <= want.label else bisect_left
+                            scanned = len(others) if rank < hit else cut(others, target)
+                            metrics.edges_considered += scanned * (2 if direction == "sym" else 1)
                     if trace:
                         trace(f"{node}  [{render(residual, allow_star=True)}]  matched {target}")
                     return finish(True)

@@ -53,7 +53,6 @@ __all__ = [
     "parse",
     "render",
     "simplify",
-    "canonical_equal",
     "head",
     "suffix",
     "length",
@@ -326,11 +325,6 @@ def simplify(pc: PathCondition) -> PathCondition:
     Equivalent to the input on every graph; idempotent.
     """
     return _simplify(pc, False)
-
-
-def canonical_equal(a: PathCondition, b: PathCondition) -> bool:
-    """Whether two conditions share the same simple form."""
-    return simplify(a) == simplify(b)
 
 
 @lru_cache(maxsize=4096)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from .graph import SystemGraph, SystemModel, validate_graph, validate_model
+from .graph import GraphValidationError, SystemGraph, SystemModel, validate_model
 from .matching import MatchStrategy, PrincipalMatchingRule, TOP
 from .paths import DIAMOND, PathSyntaxError, parse
 from .pdp import (
@@ -144,6 +144,15 @@ def _records(data, key, problems, where) -> list[tuple]:
     return records
 
 
+def _released(records: list, section: dict):
+    """Yield ``records``, then free them and the decoded JSON ``section``
+    they came from, so that the graph's tables, built after its one pass
+    over the edges, are not allocated among objects about to die."""
+    yield from records
+    records.clear()
+    section.clear()
+
+
 def _decision(value, problems, where) -> Decision:
     if value in ("allow", "deny"):
         return Decision(value)
@@ -179,7 +188,8 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
     symmetric = _string_items(_expect_list(model_data, "symmetric", problems, "model"), problems, "model.symmetric")
     permissible = _records(model_data, "permissible", problems, "model")
     model = SystemModel(types, labels, symmetric, permissible)
-    problems.extend(validate_model(model))
+    model_problems = validate_model(model)
+    problems.extend(model_problems)
 
     # graph ---------------------------------------------------------------
     graph_data = data["graph"]
@@ -187,9 +197,12 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
     for entity, type_name in _records(graph_data, "entities", problems, "graph"):
         if entities.setdefault(entity, type_name) != type_name:
             problems.append(f"duplicate entity {entity!r} with conflicting types")
-    edges = _records(graph_data, "edges", problems, "graph")
-    graph = SystemGraph(model, entities, edges, validate=False)
-    problems.extend(validate_graph(graph))
+    edges = _released(_records(graph_data, "edges", problems, "graph"), graph_data)
+    try:
+        graph = SystemGraph(model, entities, edges)
+    except GraphValidationError as exc:  # the model's violations come first and are listed above
+        problems.extend(exc.violations[len(model_problems):])
+        graph = SystemGraph(model, entities, validate=False)  # the checks below ask only about entities
 
     # authorization system --------------------------------------------------
     system_data = data["authorization_system"]

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebac import (
+    EdgeCondition,
     GraphValidationError,
-    IncidentEdge,
     SystemGraph,
     SystemModel,
     UnknownEntityError,
+    match_path,
     validate_graph,
     validate_model,
 )
@@ -33,16 +34,16 @@ def family_graph(edges) -> SystemGraph:
 
 def test_incident_edges_of_supervisor(fragment_graph):
     assert fragment_graph.edges_incident("U1") == (
-        IncidentEdge("P1", "Participant-of", "out"),
-        IncidentEdge("P1", "Supervises", "out"),
+        ("P1", "Participant-of", "out"),
+        ("P1", "Supervises", "out"),
     )
 
 
 def test_incident_edges_mix_directions_deterministically(fragment_graph):
     assert fragment_graph.edges_incident("F2") == (
-        IncidentEdge("F1", "Member-of", "out"),
-        IncidentEdge("D1", "Member-of", "in"),
-        IncidentEdge("D2", "Member-of", "in"),
+        ("F1", "Member-of", "out"),
+        ("D1", "Member-of", "in"),
+        ("D2", "Member-of", "in"),
     )
 
 
@@ -67,8 +68,8 @@ def test_symmetric_edge_holds_both_ways_and_is_stored_once():
 
 def test_symmetric_incident_edge_reported_once_per_stored_edge():
     g = family_graph([("Alice", "Bob", "Sibling-of")])
-    assert g.edges_incident("Alice") == (IncidentEdge("Bob", "Sibling-of", "sym"),)
-    assert g.edges_incident("Bob") == (IncidentEdge("Alice", "Sibling-of", "sym"),)
+    assert g.edges_incident("Alice") == (("Bob", "Sibling-of", "sym"),)
+    assert g.edges_incident("Bob") == (("Alice", "Sibling-of", "sym"),)
 
 
 def test_directed_edges_are_independent_per_direction():
@@ -99,8 +100,8 @@ def test_self_loops_are_allowed():
     g = family_graph([("Bob", "Bob", "Brother-of")])
     assert g.has_edge("Bob", "Bob", "Brother-of")
     incident = g.edges_incident("Bob")
-    assert IncidentEdge("Bob", "Brother-of", "out") in incident
-    assert IncidentEdge("Bob", "Brother-of", "in") in incident
+    assert ("Bob", "Brother-of", "out") in incident
+    assert ("Bob", "Brother-of", "in") in incident
 
 
 def test_validate_model_accepts_consistent_model():
@@ -171,6 +172,19 @@ def test_with_entity_rejects_duplicates_and_unknown_types(fragment_graph):
         fragment_graph.with_entity("U1", "user")
     with pytest.raises(GraphValidationError):
         fragment_graph.with_entity("U9", "martian")
+
+
+def test_with_entity_rejects_the_wildcard_id(fragment_graph):
+    # the constructor and validate_graph reject this id too
+    with pytest.raises(GraphValidationError) as err:
+        fragment_graph.with_entity("*", "user")
+    assert err.value.violations == ["entity id '*' is reserved for the wildcard object"]
+    with pytest.raises(GraphValidationError) as err:
+        fragment_graph.with_entity("*", "martian")
+    assert err.value.violations == [
+        "entity '*' has unknown type 'martian'",
+        "entity id '*' is reserved for the wildcard object",
+    ]
 
 
 def test_without_entity_cascades_incident_edges(fragment_graph):
@@ -301,6 +315,23 @@ def _expected_index(triples):
     return stored, tables, comparisons
 
 
+def _incident(stored, node):
+    """``node``'s incident edges as ``(neighbour, label, direction)`` in
+    incident order: ``out``, then ``in``, then ``sym``, each group by
+    (neighbour, label).  A symmetric edge, a loop too, appears once."""
+    incident = []
+    for u, v, label in stored:
+        if label == "c":
+            if node in (u, v):
+                incident.append((v if node == u else u, label, "sym"))
+        else:
+            if u == node:
+                incident.append((v, label, "out"))
+            if v == node:
+                incident.append((u, label, "in"))
+    return sorted(incident, key=lambda edge: (DIRECTION_RANK[edge[2]], edge[0], edge[1]))
+
+
 @st.composite
 def raw_triples(draw):
     """Triples with duplicates, reversed copies (so symmetric edges come in
@@ -312,23 +343,63 @@ def raw_triples(draw):
     return triples + [(u, u, "c") for u in draw(st.lists(st.sampled_from(NODES), max_size=2))]
 
 
+def _index_graph(nodes, triples) -> SystemGraph:
+    return SystemGraph(INDEX_MODEL, {n: "node" for n in nodes}, triples)
+
+
 @given(raw_triples())
 @settings(max_examples=300, deadline=None)
 def test_fresh_label_index_matches_tables_built_from_raw_triples(triples):
     stored, tables, comparisons = _expected_index(triples)
-    graph = SystemGraph(INDEX_MODEL, {n: "node" for n in NODES}, triples)
+    graph = _index_graph(NODES, triples)
     assert graph.label_index() == (tables, comparisons)
     assert graph.edges == stored
     assert graph.edge_count == len(stored)
     for u in NODES:
-        incident = [
-            IncidentEdge(other, label, direction)
-            for (label, direction), others in tables.get(u, {}).items()
-            for other in others
-        ]
-        incident.sort(key=lambda e: (DIRECTION_RANK[e.direction], e.neighbor, e.label))
-        assert graph.edges_incident(u) == tuple(incident)
+        assert graph.edges_incident(u) == tuple(_incident(stored, u))
         for v in NODES:
             for label in "abc":
                 expected = (min(u, v), max(u, v), label) in stored if label == "c" else (u, v, label) in stored
                 assert graph.has_edge(u, v, label) == expected
+
+
+@given(raw_triples())
+@settings(max_examples=300, deadline=None)
+def test_found_exit_recount_follows_incident_order(triples):
+    """A one-edge condition that holds ends the search at its first work
+    item, so ``edges_considered`` is exactly the recount: the comparisons
+    of a scan over the source's incident edges, in incident order, up to
+    and including the edge that hit."""
+    stored, _, _ = _expected_index(triples)
+    graph = _index_graph(NODES, triples)
+    for u in NODES:
+        incident = _incident(stored, u)
+        for v in NODES:
+            for label in "abc":
+                for reversed_ in (False, True):
+                    result = match_path(graph, u, v, EdgeCondition(label, reversed_))
+                    direction = "sym" if label == "c" else "in" if reversed_ else "out"
+                    hit = next((i for i, edge in enumerate(incident) if edge == (v, label, direction)), None)
+                    assert result.found == (hit is not None)
+                    if result.found:
+                        scanned = incident[: hit + 1]
+                        expected = sum(2 if edge[2] == "sym" else 1 for edge in scanned)
+                        assert result.metrics.edges_considered == expected
+
+
+@given(raw_triples(), st.sampled_from(NODES))
+@settings(max_examples=300, deadline=None)
+def test_without_entity_shares_untouched_tables_and_equals_a_rebuilt_graph(triples, entity):
+    graph = _index_graph(NODES, triples)
+    smaller = graph.without_entity(entity)
+    rest = [n for n in NODES if n != entity]
+    rebuilt = _index_graph(rest, [(u, v, label) for u, v, label in triples if entity not in (u, v)])
+    assert smaller.label_index() == rebuilt.label_index()
+    assert smaller.edges == rebuilt.edges
+    assert smaller.edge_count == rebuilt.edge_count
+    assert smaller.entity_ids == rebuilt.entity_ids
+    neighbours = graph.label_index()[0]
+    adjacent = {other for others in neighbours.get(entity, {}).values() for other in others}
+    for node, table in smaller.label_index()[0].items():
+        if node not in adjacent:
+            assert table is neighbours[node]
