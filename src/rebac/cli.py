@@ -22,11 +22,10 @@ import json
 import sys
 
 from . import __version__
-from .differential import run_differential
+from .differential import check_workspace, run_differential
 from .fixtures import FIXTURES
 from .graph import GraphError
-from .matching import TOP, PolicyError, match_path
-from .oracle import oracle_satisfies
+from .matching import PolicyError, match_path
 from .paths import PathSyntaxError, parse, render, simplify
 from .pdp import Request, evaluate
 from .workspace import Workspace, WorkspaceError, load_workspace, save_workspace
@@ -127,36 +126,17 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    checked = agreed = 0
-    first_failure = None
-
+    reports = []
     if args.workspace:
-        workspace = load_workspace(args.workspace)
-        for request in workspace.requests:
-            for rule in workspace.system.principal_rules:
-                if rule.condition is TOP:
-                    continue
-                got = match_path(workspace.graph, request.subject, request.object, rule.condition).found
-                expected = oracle_satisfies(workspace.graph, request.subject, request.object, rule.condition)
-                checked += 1
-                if got == expected:
-                    agreed += 1
-                elif first_failure is None:
-                    first_failure = (
-                        f"matcher={got} oracle={expected} for ({request.subject!r}, "
-                        f"{request.object!r}) under {rule.text}"
-                    )
-
+        reports.append(check_workspace(load_workspace(args.workspace)))
     if args.trials:
-        report = run_differential(args.seed, args.trials)
-        checked += report.trials
-        agreed += report.agreements
-        if first_failure is None and report.first_disagreement is not None:
-            first_failure = str(report.first_disagreement)
-
+        reports.append(run_differential(args.seed, args.trials))
+    checked = sum(report.trials for report in reports)
+    agreed = sum(report.agreements for report in reports)
     print(f"{agreed}/{checked} agree")
-    if first_failure:
-        print(f"first disagreement: {first_failure}", file=sys.stderr)
+    failures = [report.first_disagreement for report in reports if report.first_disagreement is not None]
+    if failures:
+        print(f"first disagreement: {failures[0]}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,10 +1,10 @@
-"""Randomized differential checking of the matcher against the oracle.
+"""Differential checking of the matcher against the oracle.
 
-Generates small random graphs and conditions with a seeded RNG and
-compares :func:`rebac.matching.match_path` with
-:func:`rebac.oracle.oracle_satisfies` on every instance.  The two
-deciders share no traversal code, so agreement over large runs is
-strong evidence for both.
+:func:`run_differential` compares :func:`rebac.matching.match_path` with
+:func:`rebac.oracle.oracle_satisfies` on seeded random graphs and
+conditions; :func:`check_workspace` on a workspace's requests and rules,
+and its decisions with the oracle's.  The two deciders share no
+traversal code, so agreement over large runs is strong evidence for both.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import SystemGraph, SystemModel
-from .matching import match_path
+from .matching import TOP, MatchStrategy, match_path
 from .oracle import oracle_satisfies
 from .paths import (
     DIAMOND,
@@ -25,6 +25,8 @@ from .paths import (
     Reverse,
     render,
 )
+from .pdp import DefaultStage, apply_defaults, evaluate, possible_decisions, resolve
+from .workspace import Workspace
 
 __all__ = [
     "random_graph",
@@ -33,6 +35,7 @@ __all__ = [
     "Disagreement",
     "DifferentialReport",
     "run_differential",
+    "check_workspace",
 ]
 
 DEFAULT_LABELS = ("a", "b", "c")
@@ -122,7 +125,7 @@ class DifferentialReport:
     trials: int
     agreements: int
     elapsed: float
-    first_disagreement: Disagreement | None = None
+    first_disagreement: Disagreement | str | None = None  # a str from check_workspace
 
     @property
     def agreed(self) -> bool:
@@ -151,3 +154,46 @@ def run_differential(seed: int, trials: int) -> DifferentialReport:
         elif first is None:
             first = Disagreement(graph, source, target, condition, got, expected)
     return DifferentialReport(trials, agreements, time.perf_counter() - started, first)
+
+
+def check_workspace(workspace: Workspace) -> DifferentialReport:
+    """Check each request of a workspace against the oracle.
+
+    Each (request, rule) pair with a path condition is one check of
+    ``match_path`` against ``oracle_satisfies``.  Each request is one
+    more check: its principals and outcome as decided from the oracle's
+    answers against those of :func:`rebac.pdp.evaluate`.  The oracle's
+    principals are the principals of the rules it satisfies (TOP always
+    holds) in rule order: the first one under FirstMatch, each first
+    occurrence under AllMatch.  Stage two of that decision reuses
+    ``possible_decisions``, ``resolve`` and ``apply_defaults``, so it
+    checks how ``evaluate`` composes them with principal matching.
+    """
+    graph, system = workspace.graph, workspace.system
+    checks = []  # (matcher's answer, oracle's answer, what was asked)
+    started = time.perf_counter()
+    for request in workspace.requests:
+        subject, object_ = request.subject, request.object
+        hits = []
+        for rule in system.principal_rules:
+            holds = rule.condition is TOP
+            if not holds:
+                got = match_path(graph, subject, object_, rule.condition).found
+                holds = oracle_satisfies(graph, subject, object_, rule.condition)
+                checks.append((got, holds, f"({subject!r}, {object_!r}) under {rule.text}"))
+            if holds:
+                hits.append(rule.principal)
+        principals = hits[:1] if system.pms is MatchStrategy.FIRST_MATCH else list(dict.fromkeys(hits))
+        bits = possible_decisions(principals, object_, request.action, system.auth_rules)
+        if bits:
+            outcome = resolve(bits, system.crs)
+        else:
+            stage = DefaultStage.NO_DECISION if principals else DefaultStage.NO_PRINCIPALS
+            outcome = apply_defaults(stage, subject, object_, system)[0]
+        trace = evaluate(graph, system, request)
+        got = (trace.matched_principals, trace.outcome.value)
+        checks.append((got, (principals, outcome.value), f"({subject!r}, {object_!r}, {request.action!r})"))
+    failures = [f"matcher={got} oracle={expected} for {what}" for got, expected, what in checks if got != expected]
+    agreements = len(checks) - len(failures)
+    first = failures[0] if failures else None
+    return DifferentialReport(len(checks), agreements, time.perf_counter() - started, first)

@@ -2,9 +2,12 @@
 
 A condition compiles to a small nondeterministic automaton over edge
 conditions; satisfaction between two nodes is reachability in the
-product of the graph and the automaton.  This shares no traversal code
-with the matcher in :mod:`rebac.matching`; the two are kept separate on
-purpose so they can check each other differentially.
+product of the graph and the automaton, walked over a neighbour map
+each query builds from the stored triples (``SystemGraph.edges``).  It
+never reads the graph's lookups over the matcher's tables (``has_edge``,
+``label_index``, ``edges_incident``) and shares no traversal code with
+:mod:`rebac.matching`; the two are kept separate on purpose so they can
+check each other differentially.
 """
 
 from __future__ import annotations
@@ -87,7 +90,15 @@ def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | 
         else:
             labelled.setdefault(src, []).append((cond, dst))
 
-    entities = graph.entity_ids
+    # (node, label, reversed) -> neighbours, from the stored triples
+    step: dict[tuple[str, str, bool], list[str]] = {}
+    symmetric = graph.model.symmetric
+    for u, v, label in graph.edges:
+        step.setdefault((u, label, False), []).append(v)
+        step.setdefault((v, label, True), []).append(u)
+        if label in symmetric:  # holds both ways under both senses
+            step.setdefault((v, label, False), []).append(u)
+            step.setdefault((u, label, True), []).append(v)
     accepting: set[str] = set()
     seen = {(source, nfa.start)}
     stack = [(source, nfa.start)]
@@ -103,16 +114,11 @@ def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | 
                 seen.add(item)
                 stack.append(item)
         for cond, nxt in labelled.get(state, ()):
-            for other in entities:
-                if cond.reversed:
-                    holds = graph.has_edge(other, node, cond.label)
-                else:
-                    holds = graph.has_edge(node, other, cond.label)
-                if holds:
-                    item = (other, nxt)
-                    if item not in seen:
-                        seen.add(item)
-                        stack.append(item)
+            for other in step.get((node, cond.label, cond.reversed), ()):
+                item = (other, nxt)
+                if item not in seen:
+                    seen.add(item)
+                    stack.append(item)
     return accepting
 
 

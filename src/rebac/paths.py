@@ -57,7 +57,6 @@ __all__ = [
     "suffix",
     "length",
     "plus_count",
-    "concat",
 ]
 
 
@@ -275,16 +274,6 @@ def render(pc: PathCondition, *, allow_star: bool = False) -> str:
             return "~" + render(inner, allow_star=allow_star)
         return f"~({render(inner, allow_star=allow_star)})"
     raise TypeError(f"not a path condition: {pc!r}")
-
-
-def concat(*parts: PathCondition) -> PathCondition:
-    """Right-associated concatenation of the given parts."""
-    if not parts:
-        return DIAMOND
-    node = parts[-1]
-    for part in reversed(parts[:-1]):
-        node = Concat(part, node)
-    return node
 
 
 def _concat_canonical(left: PathCondition, right: PathCondition) -> PathCondition:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .graph import SystemGraph, UnknownEntityError
 from .matching import (
-    MatchMetrics,
     MatchStrategy,
     PrincipalMatchingRule,
     RuleEvaluation,
@@ -202,31 +201,6 @@ class DecisionTrace:
                 for ev in self.metrics
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DecisionTrace":
-        return cls(
-            request=Request(**data["request"]),
-            matched_principals=list(data["matched_principals"]),
-            possible_decisions=[bool(b) for b in data["possible_decisions"]],
-            resolution=data["resolution"],
-            outcome=Decision(data["outcome"]),
-            metrics=[
-                RuleEvaluation(
-                    rule_number=item["rule"],
-                    principal=item["principal"],
-                    condition=item["condition"],
-                    found=item["found"],
-                    metrics=MatchMetrics(
-                        nodes_visited=item["nodes_visited"],
-                        edges_considered=item["edges_considered"],
-                        queue_peak=item["queue_peak"],
-                        pairs_seen=item["pairs_seen"],
-                    ),
-                )
-                for item in data["metrics"]
-            ],
-        )
 
 
 def validate_system(system: AuthorizationSystem, graph: SystemGraph) -> list[str]:

@@ -44,6 +44,7 @@ from rebac import (
 )
 from rebac.differential import (
     DEFAULT_LABELS,
+    check_workspace,
     random_condition,
     random_graph,
     random_simple_condition,
@@ -178,15 +179,9 @@ def test_criterion_6_classic_policies():
 
         agreements = 0
         for ws in (unix, rbac):
-            for request in ws.requests:
-                for rule in ws.system.principal_rules:
-                    if rule.condition is TOP:
-                        continue
-                    found = match_path(ws.graph, request.subject, request.object, rule.condition).found
-                    assert found == oracle_satisfies(
-                        ws.graph, request.subject, request.object, rule.condition
-                    )
-                    agreements += 1
+            report = check_workspace(ws)
+            assert report.agreed, report.first_disagreement
+            agreements += report.agreements
         record["detail"] = f"9 requests, {agreements} oracle cross-checks"
 
 
@@ -223,9 +218,16 @@ def test_criterion_7_scale():
         bound = len(graph) * (length(pc) + plus_count(pc) + 1)
         assert first.metrics.pairs_seen <= bound
         assert match_path(graph, source, target, pc) == first
+        miss = parse("(a . ~b)+ . c+")
+        assert not match_path(graph, "n0", "n999", miss).found
+        started = time.perf_counter()
+        assert oracle_satisfies(graph, source, target, pc)
+        assert not oracle_satisfies(graph, "n0", "n999", miss)
+        oracle_elapsed = time.perf_counter() - started
         record["detail"] = (
             f"match in {elapsed * 1000:.0f}ms, "
-            f"pairs_seen={first.metrics.pairs_seen} <= {bound}"
+            f"pairs_seen={first.metrics.pairs_seen} <= {bound}, "
+            f"oracle hit + miss in {oracle_elapsed * 1000:.0f}ms"
         )
 
 
@@ -240,14 +242,16 @@ def _random_workspace(rng: random.Random) -> Workspace:
         principal_rules.append(PrincipalMatchingRule(TOP, "anyone"))
     names = [rule.principal for rule in principal_rules]
     actions = ("read", "write")
+    # wildcard objects and up to 8 rules let two matched principals
+    # disagree often enough for every conflict strategy to decide
     auth_rules = [
         AuthorizationRule(
             rng.choice(names),
-            rng.choice(nodes + ["*"]),
+            "*" if rng.random() < 0.5 else rng.choice(nodes),
             rng.choice(actions),
             rng.random() < 0.6,
         )
-        for _ in range(rng.randint(0, 5))
+        for _ in range(rng.randint(0, 8))
     ]
     system = AuthorizationSystem(
         principal_rules=principal_rules,
@@ -269,13 +273,19 @@ def test_criterion_8_totality():
     with criterion(8, "random workspaces always reach a decision; bad ones are named") as record:
         rng = random.Random(8)
         decisions = 0
+        resolutions = set()
         for _ in range(1000):
             ws = loads_workspace(dumps_workspace(_random_workspace(rng)))
             for request in ws.requests:
                 trace = evaluate(ws.graph, ws.system, request)
                 assert isinstance(trace.outcome, Decision)
-                assert trace.resolution
+                resolutions.add(trace.resolution)
                 decisions += 1
+            report = check_workspace(ws)
+            assert report.agreed, report.first_disagreement
+        defaults = {f"default:{level}" for level in ("subject", "object", "system")}
+        conflicts = {f"crs:{strategy.value}" for strategy in ConflictStrategy}
+        assert resolutions == {"unambiguous"} | defaults | conflicts
 
         base = json.loads(dumps_workspace(make_fixture("unix")))
         negatives = []
@@ -295,4 +305,4 @@ def test_criterion_8_totality():
             with pytest.raises(WorkspaceError) as excinfo:
                 loads_workspace(json.dumps(doc))
             assert any(needle in v for v in excinfo.value.violations), needle
-        record["detail"] = f"{decisions} decisions, {len(negatives)} named rejections"
+        record["detail"] = f"{decisions} decisions, each the oracle's; {len(negatives)} named rejections"

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebac import DecisionTrace, dumps_workspace, load_workspace, make_fixture, oracle_satisfies
+import rebac.differential
+from rebac import Decision, Request, dumps_workspace, evaluate, load_workspace, make_fixture, oracle_satisfies
 from rebac.cli import main
 from rebac.paths import MAX_DEPTH, PathSyntaxError, parse
 
@@ -117,7 +118,9 @@ def test_eval_explain_emits_a_loadable_trace(corporate_file, capsys):
     )
     out = capsys.readouterr().out
     _, _, payload = out.partition("\n")
-    trace = DecisionTrace.from_dict(json.loads(payload))
+    ws = load_workspace(corporate_file)
+    trace = evaluate(ws.graph, ws.system, Request("Tech.#2", "Func.Spec.#1", "write"))
+    assert json.loads(payload) == trace.to_dict()
     assert trace.outcome.value == "allow"
     assert trace.resolution == "crs:FirstMatch"
     assert trace.possible_decisions == [True, False]
@@ -240,8 +243,25 @@ def test_oracle_check_workspace_and_random_trials(corporate_file, capsys):
     code = main(["oracle-check", "--workspace", corporate_file, "--trials", "200", "--seed", "7"])
     assert code == 0
     out = capsys.readouterr().out
-    checked = 200 + 5 * 12  # random trials + requests x path rules
+    checked = 200 + 5 * 12 + 5  # random trials + requests x path rules + decisions
     assert out == f"{checked}/{checked} agree\n"
+
+
+def test_oracle_check_names_the_first_decision_disagreement(corporate_file, capsys, monkeypatch):
+    def flipped(graph, system, request):
+        trace = evaluate(graph, system, request)
+        trace.outcome = Decision.DENY if trace.outcome is Decision.ALLOW else Decision.ALLOW
+        return trace
+
+    monkeypatch.setattr(rebac.differential, "evaluate", flipped)
+    assert main(["oracle-check", "--workspace", corporate_file, "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "60/65 agree\n"
+    assert captured.err == (
+        "first disagreement: matcher=(['Project Resource Supervisor', 'Project Resource User'], 'deny') "
+        "oracle=(['Project Resource Supervisor', 'Project Resource User'], 'allow') "
+        "for ('Tech.#2', 'Test.Spec.#1', 'read')\n"
+    )
 
 
 def test_oracle_check_random_only(capsys):

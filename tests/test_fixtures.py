@@ -8,10 +8,10 @@ from rebac import (
     evaluate,
     make_fixture,
     match_path,
-    oracle_satisfies,
     validate_graph,
     validate_model,
 )
+from rebac.differential import check_workspace
 from rebac.fixtures import FIXTURES
 from rebac.pdp import validate_system
 
@@ -106,15 +106,13 @@ def test_corporate_shape():
     )
 
 
-def test_corporate_rules_agree_with_oracle_on_every_request_pair():
-    ws = make_fixture("corporate")
-    for request in ws.requests:
-        for rule in ws.system.principal_rules:
-            if rule.condition is TOP:
-                continue
-            found = match_path(ws.graph, request.subject, request.object, rule.condition).found
-            against = oracle_satisfies(ws.graph, request.subject, request.object, rule.condition)
-            assert found == against, (request, rule.principal)
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_rules_and_decisions_agree_with_oracle(name):
+    ws = make_fixture(name)
+    report = check_workspace(ws)
+    assert report.agreed, report.first_disagreement
+    path_rules = sum(rule.condition is not TOP for rule in ws.system.principal_rules)
+    assert report.trials == len(ws.requests) * (path_rules + 1)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

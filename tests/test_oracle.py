@@ -7,12 +7,15 @@ from rebac import (
     EdgeCondition,
     SystemGraph,
     SystemModel,
+    TOP,
     UnknownEntityError,
     compile_nfa,
+    make_fixture,
     oracle_satisfies,
     parse,
     satisfying_targets,
 )
+from rebac.fixtures import FIXTURES
 
 
 def chain(labels_on_edges):
@@ -92,3 +95,26 @@ def test_unknown_entities_rejected(five_node_graph):
         oracle_satisfies(five_node_graph, "s", "ghost", DIAMOND)
     with pytest.raises(UnknownEntityError):
         satisfying_targets(five_node_graph, "ghost", DIAMOND)
+
+
+def test_oracle_reads_only_stored_triples(monkeypatch):
+    workspaces = [make_fixture(name) for name in sorted(FIXTURES)]
+
+    def answers():
+        found = []
+        for ws in workspaces:
+            conditions = [rule.condition for rule in ws.system.principal_rules if rule.condition is not TOP]
+            for request in ws.requests:
+                for pc in conditions:
+                    found.append(oracle_satisfies(ws.graph, request.subject, request.object, pc))
+                    found.append(satisfying_targets(ws.graph, request.subject, pc))
+        return found
+
+    unpatched = answers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle read the matcher's lookups")
+
+    for name in ("has_edge", "label_index", "edges_incident"):
+        monkeypatch.setattr(SystemGraph, name, forbidden)
+    assert answers() == unpatched

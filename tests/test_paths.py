@@ -19,7 +19,6 @@ from rebac import (
     simplify,
     suffix,
 )
-from rebac.paths import concat
 
 CORPORATE_LABELS = [
     "Client-of",
@@ -223,9 +222,3 @@ def test_plus_count(text, expected):
 def test_simplify_identifies_reversal_of_plus():
     assert simplify(parse("~(a+)")) == simplify(parse("(~a)+"))
     assert simplify(parse("a . b")) != simplify(parse("b . a"))
-
-
-def test_concat_helper_right_associates():
-    assert concat(A, B, RA) == Concat(A, Concat(B, RA))
-    assert concat() == DIAMOND
-    assert concat(A) == A

@@ -1,9 +1,9 @@
 """The benchmark still runs against the program and checks itself.
 
-``perfbench/run.py`` imports names from ``rebac.paths``, ``rebac.oracle``
-and ``rebac.pdp``, and its ``--trace 1`` mode rebinds functions and
-methods by name; renaming one breaks the benchmark, and these tests fail
-instead of the next benchmark run.
+``perfbench/run.py`` imports names from ``rebac.paths``, ``rebac.oracle``,
+``rebac.differential`` and ``rebac.pdp``, and its ``--trace 1`` mode
+rebinds functions and methods by name; renaming one breaks the
+benchmark, and these tests fail instead of the next benchmark run.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _run(*options: str) -> dict:
     return result
 
 
-@pytest.mark.parametrize("workload", ["churn", "corp-policy"])
+@pytest.mark.parametrize("workload", ["churn", "corp-policy", "crosscheck"])
 def test_benchmark_workload_runs_correctly(workload):
     _run("--workload", workload)
 
