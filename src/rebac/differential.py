@@ -32,7 +32,6 @@ __all__ = [
     "random_graph",
     "random_simple_condition",
     "random_condition",
-    "Disagreement",
     "DifferentialReport",
     "run_differential",
     "check_workspace",
@@ -104,28 +103,11 @@ def random_condition(rng: random.Random) -> PathCondition:
 
 
 @dataclass
-class Disagreement:
-    graph: SystemGraph
-    source: str
-    target: str
-    condition: PathCondition
-    matcher: bool
-    oracle: bool
-
-    def __str__(self) -> str:
-        return (
-            f"matcher={self.matcher} oracle={self.oracle} for "
-            f"({self.source!r}, {self.target!r}) under {render(self.condition, allow_star=True)} "
-            f"on {sorted(self.graph.edges)}"
-        )
-
-
-@dataclass
 class DifferentialReport:
     trials: int
     agreements: int
     elapsed: float
-    first_disagreement: Disagreement | str | None = None  # a str from check_workspace
+    first_disagreement: str | None = None  # the first failing check, as printed
 
     @property
     def agreed(self) -> bool:
@@ -152,7 +134,10 @@ def run_differential(seed: int, trials: int) -> DifferentialReport:
         if got == expected:
             agreements += 1
         elif first is None:
-            first = Disagreement(graph, source, target, condition, got, expected)
+            first = (
+                f"matcher={got} oracle={expected} for ({source!r}, {target!r}) "
+                f"under {render(condition)} on {sorted(graph.edges)}"
+            )
     return DifferentialReport(trials, agreements, time.perf_counter() - started, first)
 
 

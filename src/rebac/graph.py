@@ -51,7 +51,6 @@ __all__ = [
     "SystemModel",
     "SystemGraph",
     "validate_model",
-    "validate_graph",
 ]
 
 
@@ -124,10 +123,9 @@ class SystemGraph:
     ``entities`` maps entity id (a string) to type name; ``edges`` is any
     iterable of (from, to, label) triples, read in one pass before the
     index is built.  Duplicate triples collapse.  The label index is the
-    snapshot's only copy of the edges.  By default construction validates
-    the model and graph and raises :class:`GraphValidationError` before
-    building the index; pass ``validate=False`` to build an unchecked
-    snapshot and inspect :func:`validate_graph` output instead.
+    snapshot's only copy of the edges.  Construction validates the model
+    and the graph, and raises :class:`GraphValidationError` with every
+    violation before building the index, so every snapshot is well-formed.
     """
 
     __slots__ = ("model", "_types", "_ids", "_index", "_edge_count")
@@ -137,8 +135,6 @@ class SystemGraph:
         model: SystemModel,
         entities: Mapping[str, str] | Iterable[tuple[str, str]],
         edges: Iterable[tuple[str, str, str]] = (),
-        *,
-        validate: bool = True,
     ):
         pairs = entities.items() if isinstance(entities, Mapping) else entities
         types = {intern(entity): intern(type_name) for entity, type_name in pairs}
@@ -148,10 +144,9 @@ class SystemGraph:
             if label in sym and to_id < from_id:
                 from_id, to_id = to_id, from_id
             stored.add((intern(from_id), intern(to_id), intern(label)))
-        if validate:
-            problems = validate_model(model) + _graph_problems(model, types, stored)
-            if problems:
-                raise GraphValidationError(problems)
+        problems = validate_model(model) + _graph_problems(model, types, stored)
+        if problems:
+            raise GraphValidationError(problems)
         self._init(model, types, None, _build_index(sym, stored), len(stored))
 
     def _init(self, model, types, ids, index, edge_count) -> None:
@@ -178,10 +173,6 @@ class SystemGraph:
             ids = tuple(sorted(self._types))
             object.__setattr__(self, "_ids", ids)
         return ids
-
-    @property
-    def entity_types(self) -> Mapping[str, str]:
-        return dict(self._types)
 
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
@@ -425,7 +416,8 @@ def _entity_problems(model: SystemModel, entity: str, type_name: str) -> list[st
 
 
 def _graph_problems(model: SystemModel, types: Mapping[str, str], edges) -> list[str]:
-    """:func:`validate_graph` over an entity table and stored triples."""
+    """Violations of an entity table and its stored triples under the
+    model: offending entities in id order, then offending edges in order."""
     problems, known_types = [], model.types
     for entity in sorted(e for e, t in types.items() if t not in known_types or e == "*"):
         problems.extend(_entity_problems(model, entity, types[entity]))
@@ -438,14 +430,3 @@ def _graph_problems(model: SystemModel, types: Mapping[str, str], edges) -> list
             edge = f"edge ({from_id!r}, {to_id!r}, {label!r})"
             problems.extend(f"{edge}: unknown entity {e!r}" for e in (from_id, to_id) if e not in types)
     return problems
-
-
-def validate_graph(graph: SystemGraph) -> list[str]:
-    """Well-formedness violations of the graph under its model.
-
-    Checks entity types against the model and every edge against the
-    vocabulary and the permissible triples.  Returns messages; an empty
-    list means well-formed.  Each entity and edge costs one hashed test;
-    only the offending ones are sorted and described.
-    """
-    return _graph_problems(graph.model, graph._types, graph.edges)

@@ -100,8 +100,7 @@ class PrincipalMatchingRule:
     def __post_init__(self):
         if isinstance(self.condition, PathCondition):
             has_star = _contains_star(self.condition)
-            # same text as render(condition); a '*' rule fails validation
-            text = render(self.condition, allow_star=True)
+            text = render(self.condition)  # a '*' rule fails validation
         else:
             has_star, text = False, repr(self.condition)
         object.__setattr__(self, "has_star", has_star)
@@ -219,7 +218,7 @@ def match_path(
                 # a zero branch consumed everything: target check here
                 if node == target:
                     if trace:
-                        trace(f"{node}  [{render(residual, allow_star=True)}]  matched {target}")
+                        trace(f"{node}  [{render(residual)}]  matched {target}")
                     return finish(True)
                 continue
             if branch == residual:
@@ -248,7 +247,7 @@ def match_path(
                             scanned = len(others) if rank < hit else cut(others, target)
                             metrics.edges_considered += scanned * (2 if direction == "sym" else 1)
                     if trace:
-                        trace(f"{node}  [{render(residual, allow_star=True)}]  matched {target}")
+                        trace(f"{node}  [{render(residual)}]  matched {target}")
                     return finish(True)
             else:
                 for others in (direct, symmetric):
@@ -263,7 +262,7 @@ def match_path(
             metrics.queue_peak = len(queue)
         if trace:
             outcome = f"enqueued {enqueued}" if enqueued else "dead end"
-            trace(f"{node}  [{render(residual, allow_star=True)}]  {outcome}")
+            trace(f"{node}  [{render(residual)}]  {outcome}")
 
     return finish(False)
 

@@ -3,11 +3,11 @@
 A condition compiles to a small nondeterministic automaton over edge
 conditions; satisfaction between two nodes is reachability in the
 product of the graph and the automaton, walked over a neighbour map
-each query builds from the stored triples (``SystemGraph.edges``).  It
-never reads the graph's lookups over the matcher's tables (``has_edge``,
-``label_index``, ``edges_incident``) and shares no traversal code with
-:mod:`rebac.matching`; the two are kept separate on purpose so they can
-check each other differentially.
+built from the stored triples (``SystemGraph.edges``) and kept for the
+last snapshot queried.  It never reads the graph's lookups over the
+matcher's tables (``has_edge``, ``label_index``, ``edges_incident``) and
+shares no traversal code with :mod:`rebac.matching`; the two are kept
+separate on purpose so they can check each other differentially.
 """
 
 from __future__ import annotations
@@ -79,6 +79,30 @@ def compile_nfa(pc: PathCondition) -> PathNfa:
     return PathNfa(start, accept, tuple(transitions), next(counter))
 
 
+# the last snapshot asked about and its neighbour map, which no caller
+# changes.  Snapshots never change, and holding one keeps its identity
+# from being reused, so the map stays valid while the entry holds it.
+_last_map: tuple[SystemGraph | None, dict] = (None, {})
+
+
+def _neighbour_map(graph: SystemGraph) -> dict[tuple[str, str, bool], list[str]]:
+    """``(node, label, reversed) -> neighbours``, from the stored triples."""
+    global _last_map
+    cached, step = _last_map
+    if cached is graph:
+        return step
+    step = {}
+    symmetric = graph.model.symmetric
+    for u, v, label in graph.edges:
+        step.setdefault((u, label, False), []).append(v)
+        step.setdefault((v, label, True), []).append(u)
+        if label in symmetric:  # holds both ways under both senses
+            step.setdefault((v, label, False), []).append(u)
+            step.setdefault((u, label, True), []).append(v)
+    _last_map = (graph, step)
+    return step
+
+
 def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | None):
     """Graph nodes paired with the accept state, reachable from
     (source, start).  Stops early when ``target`` is among them."""
@@ -90,15 +114,7 @@ def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | 
         else:
             labelled.setdefault(src, []).append((cond, dst))
 
-    # (node, label, reversed) -> neighbours, from the stored triples
-    step: dict[tuple[str, str, bool], list[str]] = {}
-    symmetric = graph.model.symmetric
-    for u, v, label in graph.edges:
-        step.setdefault((u, label, False), []).append(v)
-        step.setdefault((v, label, True), []).append(u)
-        if label in symmetric:  # holds both ways under both senses
-            step.setdefault((v, label, False), []).append(u)
-            step.setdefault((u, label, True), []).append(v)
+    step = _neighbour_map(graph)
     accepting: set[str] = set()
     seen = {(source, nfa.start)}
     stack = [(source, nfa.start)]

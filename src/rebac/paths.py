@@ -84,7 +84,7 @@ class PathCondition:
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return render(self, allow_star=True)
+        return render(self)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -248,31 +248,29 @@ def parse(text: str, labels=None) -> PathCondition:
     return result
 
 
-def render(pc: PathCondition, *, allow_star: bool = False) -> str:
+def render(pc: PathCondition) -> str:
     """Surface text for a condition; ``parse(render(a))`` is equivalent to a.
 
-    Star nodes have no surface form and are rejected unless
-    ``allow_star`` is set (used when printing matcher residuals).
+    The internal zero-or-more form :class:`Star` is written ``X*``, which
+    :func:`parse` rejects, so only conditions without it round-trip.
     """
     if isinstance(pc, Diamond):
         return "@"
     if isinstance(pc, EdgeCondition):
         return ("~" if pc.reversed else "") + pc.label
     if isinstance(pc, Concat):
-        return f"{render(pc.left, allow_star=allow_star)} . {render(pc.right, allow_star=allow_star)}"
+        return f"{render(pc.left)} . {render(pc.right)}"
     if isinstance(pc, (Plus, Star)):
         mark = "+" if isinstance(pc, Plus) else "*"
-        if isinstance(pc, Star) and not allow_star:
-            raise ValueError("'*' has no surface form; render the '+' and '@' split instead")
         inner = pc.inner
         if isinstance(inner, EdgeCondition) and not inner.reversed:
             return inner.label + mark
-        return f"({render(inner, allow_star=allow_star)}){mark}"
+        return f"({render(inner)}){mark}"
     if isinstance(pc, Reverse):
         inner = pc.inner
         if isinstance(inner, (EdgeCondition, Diamond, Reverse)):
-            return "~" + render(inner, allow_star=allow_star)
-        return f"~({render(inner, allow_star=allow_star)})"
+            return "~" + render(inner)
+        return f"~({render(inner)})"
     raise TypeError(f"not a path condition: {pc!r}")
 
 

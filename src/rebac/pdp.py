@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .graph import SystemGraph, UnknownEntityError
 from .matching import (
@@ -203,9 +203,10 @@ class DecisionTrace:
         }
 
 
-def validate_system(system: AuthorizationSystem, graph: SystemGraph) -> list[str]:
-    """Violations of an authorization system over ``graph``, as messages: the
-    policy's shape, the strategies, authorization rules whose principal no
+def validate_system(system: AuthorizationSystem, entities: Container[str]) -> list[str]:
+    """Violations of an authorization system over the entity ids in
+    ``entities`` (a :class:`SystemGraph` is one), as messages: the policy's
+    shape, the strategies, authorization rules whose principal no
     principal-matching rule produces or whose object is neither an entity
     nor ``*``, and defaults for unknown entities."""
     problems = validate_policy(system.principal_rules)
@@ -222,11 +223,11 @@ def validate_system(system: AuthorizationSystem, graph: SystemGraph) -> list[str
                 f"authorization rule {position}: principal {rule.principal!r}"
                 " is not produced by any principal matching rule"
             )
-        if rule.object != WILDCARD and not graph.has_entity(rule.object):
+        if rule.object != WILDCARD and rule.object not in entities:
             problems.append(f"authorization rule {position}: object {rule.object!r} is not an entity or \"*\"")
     for bucket, defaults in (("subjects", system.subject_defaults), ("objects", system.object_defaults)):
         for entity in defaults:
-            if not graph.has_entity(entity):
+            if entity not in entities:
                 problems.append(f"defaults.{bucket}: unknown entity {entity!r}")
     return problems
 

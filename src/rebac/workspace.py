@@ -202,7 +202,6 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         graph = SystemGraph(model, entities, edges)
     except GraphValidationError as exc:  # the model's violations come first and are listed above
         problems.extend(exc.violations[len(model_problems):])
-        graph = SystemGraph(model, entities, validate=False)  # the checks below ask only about entities
 
     # authorization system --------------------------------------------------
     system_data = data["authorization_system"]
@@ -252,13 +251,13 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         subject_defaults=subject_defaults,
         object_defaults=object_defaults,
     )
-    problems.extend(validate_system(system, graph))
+    problems.extend(validate_system(system, entities))
 
     # requests --------------------------------------------------------------
     requests = [Request(*r) for r in _records(data, "requests", problems, "workspace")]
     for i, request in enumerate(requests):
         for entity in dict.fromkeys((request.subject, request.object)):
-            if not graph.has_entity(entity):
+            if entity not in entities:
                 problems.append(f"requests[{i}]: unknown entity {entity!r}")
 
     if problems:

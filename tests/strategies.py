@@ -7,8 +7,9 @@ import json
 
 import hypothesis.strategies as st
 
-from rebac import DIAMOND, Concat, EdgeCondition, Plus, Reverse, SystemGraph, SystemModel, dumps_workspace, make_fixture
+from rebac import SystemGraph, SystemModel, dumps_workspace, make_fixture
 from rebac.fixtures import FIXTURES
+from rebac.paths import DIAMOND, Concat, EdgeCondition, Plus, Reverse
 
 LABELS = ("a", "b", "c")
 SYMMETRIC = ("c",)

@@ -15,10 +15,8 @@ import pytest
 from rebac import (
     AuthorizationRule,
     AuthorizationSystem,
-    Concat,
     ConflictStrategy,
     Decision,
-    Diamond,
     MatchStrategy,
     PrincipalMatchingRule,
     Request,
@@ -29,18 +27,12 @@ from rebac import (
     WorkspaceError,
     dumps_workspace,
     evaluate,
-    head,
-    length,
     loads_workspace,
     make_fixture,
     match_path,
     oracle_satisfies,
     parse,
-    plus_count,
-    render,
-    satisfying_targets,
     simplify,
-    suffix,
 )
 from rebac.differential import (
     DEFAULT_LABELS,
@@ -50,6 +42,8 @@ from rebac.differential import (
     random_simple_condition,
     run_differential,
 )
+from rebac.oracle import satisfying_targets
+from rebac.paths import Concat, Diamond, head, length, plus_count, suffix
 
 from conftest import criterion
 

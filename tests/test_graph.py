@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rebac import (
-    EdgeCondition,
-    GraphValidationError,
-    SystemGraph,
-    SystemModel,
-    UnknownEntityError,
-    match_path,
-    validate_graph,
-    validate_model,
-)
+from rebac import GraphValidationError, SystemGraph, SystemModel, UnknownEntityError, match_path
+from rebac.graph import validate_model
+from rebac.paths import EdgeCondition
 
 FAMILY = SystemModel(
     types=["person"],
@@ -120,33 +113,38 @@ def test_validate_model_rejects_dangling_permissible_parts():
     assert any("unknown label 'nope'" in p for p in problems)
 
 
+def _violations(model, entities, edges) -> list[str]:
+    try:
+        SystemGraph(model, entities, edges)
+    except GraphValidationError as exc:
+        return exc.violations
+    return []
+
+
+def _entities(graph) -> dict[str, str]:
+    return {entity: graph.type_of(entity) for entity in graph.entity_ids}
+
+
 def test_validate_graph_accepts_wellformed(fragment_graph):
-    assert validate_graph(fragment_graph) == []
+    assert _violations(fragment_graph.model, _entities(fragment_graph), fragment_graph.edges) == []
 
 
 def test_validate_graph_reports_nonpermissible_edge(fragment_graph):
-    g = SystemGraph(
-        fragment_graph.model,
-        fragment_graph.entity_types,
-        set(fragment_graph.edges) | {("U1", "U1", "Supervises")},
-        validate=False,
-    )
-    problems = validate_graph(g)
-    assert any("not permissible" in p for p in problems)
+    edges = set(fragment_graph.edges) | {("U1", "U1", "Supervises")}
+    assert _violations(fragment_graph.model, _entities(fragment_graph), edges) == [
+        "edge ('U1', 'U1', 'Supervises'): ('user', 'user', 'Supervises') is not permissible"
+    ]
 
 
 def test_validate_graph_reports_unknown_entity_and_type():
     model = SystemModel(["t"], ["l"], permissible=[("t", "t", "l")])
-    g = SystemGraph(model, {"x": "t", "y": "weird"}, [("x", "ghost", "l")], validate=False)
-    problems = validate_graph(g)
-    assert any("unknown entity 'ghost'" in p for p in problems)
-    assert any("unknown type 'weird'" in p for p in problems)
+    problems = _violations(model, {"x": "t", "y": "weird"}, [("x", "ghost", "l")])
+    assert problems == ["entity 'y' has unknown type 'weird'", "edge ('x', 'ghost', 'l'): unknown entity 'ghost'"]
 
 
 def test_validate_graph_reserves_wildcard_id():
     model = SystemModel(["t"], ["l"])
-    g = SystemGraph(model, {"*": "t"}, [], validate=False)
-    assert any("reserved" in p for p in validate_graph(g))
+    assert _violations(model, {"*": "t"}, []) == ["entity id '*' is reserved for the wildcard object"]
 
 
 def test_constructor_rejects_illformed_by_default():
@@ -175,7 +173,7 @@ def test_with_entity_rejects_duplicates_and_unknown_types(fragment_graph):
 
 
 def test_with_entity_rejects_the_wildcard_id(fragment_graph):
-    # the constructor and validate_graph reject this id too
+    # the constructor rejects this id too
     with pytest.raises(GraphValidationError) as err:
         fragment_graph.with_entity("*", "user")
     assert err.value.violations == ["entity id '*' is reserved for the wildcard object"]
@@ -190,14 +188,14 @@ def test_with_entity_rejects_the_wildcard_id(fragment_graph):
 def test_without_entity_cascades_incident_edges(fragment_graph):
     g = fragment_graph.without_entity("F2")
     assert not g.has_entity("F2")
-    assert validate_graph(g) == []
+    assert _violations(g.model, _entities(g), g.edges) == []
     assert not any("F2" in (f, t) for f, t, _ in g.edges)
 
 
 def test_without_edge_never_breaks_wellformedness(fragment_graph):
     g = fragment_graph.without_edge("U1", "P1", "Supervises")
     assert not g.has_edge("U1", "P1", "Supervises")
-    assert validate_graph(g) == []
+    assert _violations(g.model, _entities(g), g.edges) == []
 
 
 def test_snapshots_are_immutable(fragment_graph):
@@ -223,23 +221,24 @@ def test_edge_count_does_not_build_the_edge_set(fragment_graph, monkeypatch):
     assert [repr(g) for g in fresh] == [f"SystemGraph(6 entities, {count} edges)" for count in counts]
 
 
-# -- validate_graph against a walk over every entity and edge ---------------
+# -- the constructor's violations against a walk over every entity and edge --
 
 TYPE_POOL = ["t", "u", "v"]
 LABEL_POOL = ["a", "b", "s", "z"]
 ID_POOL = ["x", "y", "w", "*", "ghost"]
 
 
-def _reference_violations(graph: SystemGraph) -> list[str]:
-    """Every entity and every stored edge, each described in sorted order."""
-    model, types = graph.model, graph.entity_types
+def _reference_violations(model: SystemModel, types: dict[str, str], edges) -> list[str]:
+    """Every entity and every stored edge, each described in sorted order.
+    A symmetric edge is stored once, with the smaller endpoint first."""
+    stored = {(min(f, t), max(f, t), l) if l in model.symmetric else (f, t, l) for f, t, l in edges}
     problems = []
     for entity in sorted(types):
         if types[entity] not in model.types:
             problems.append(f"entity {entity!r} has unknown type {types[entity]!r}")
         if entity == "*":
             problems.append("entity id '*' is reserved for the wildcard object")
-    for from_id, to_id, label in sorted(graph.edges):
+    for from_id, to_id, label in sorted(stored):
         edge = f"edge ({from_id!r}, {to_id!r}, {label!r})"
         if not all(e in types and types[e] in model.types for e in (from_id, to_id)):
             problems.extend(f"{edge}: unknown entity {e!r}" for e in (from_id, to_id) if e not in types)
@@ -279,16 +278,8 @@ def unchecked_graphs(draw):
 @settings(max_examples=400, deadline=None)
 def test_validate_graph_messages_and_order_are_exact(case):
     model, entities, edges = case
-    graph = SystemGraph(model, entities, edges, validate=False)
-    expected = _reference_violations(graph)
-    assert validate_graph(graph) == expected
-    problems = validate_model(model) + expected
-    try:
-        SystemGraph(model, entities, edges)
-    except GraphValidationError as exc:
-        assert exc.violations == problems
-    else:
-        assert problems == []
+    expected = validate_model(model) + _reference_violations(model, entities, edges)
+    assert _violations(model, entities, edges) == expected
 
 
 # -- the label index against tables computed from raw triples -----------------

@@ -3,25 +3,19 @@ from __future__ import annotations
 import pytest
 
 from rebac import (
-    DIAMOND,
-    EdgeCondition,
-    Plus,
     PolicyError,
     PrincipalMatchingRule,
     MatchStrategy,
-    Star,
     SystemGraph,
     SystemModel,
     TOP,
     UnknownEntityError,
-    length,
     match_path,
-    match_principals,
     parse,
-    plus_count,
 )
 from rebac.differential import run_differential
-from rebac.matching import validate_policy
+from rebac.matching import match_principals, validate_policy
+from rebac.paths import DIAMOND, EdgeCondition, Plus, Star, length, plus_count
 
 SINGLE = SystemModel(["t"], ["a", "b"], permissible=[("t", "t", "a"), ("t", "t", "b")])
 

@@ -2,20 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from rebac import (
-    DIAMOND,
-    EdgeCondition,
-    SystemGraph,
-    SystemModel,
-    TOP,
-    UnknownEntityError,
-    compile_nfa,
-    make_fixture,
-    oracle_satisfies,
-    parse,
-    satisfying_targets,
-)
+from rebac import SystemGraph, SystemModel, TOP, UnknownEntityError, make_fixture, oracle_satisfies, parse
 from rebac.fixtures import FIXTURES
+from rebac.oracle import compile_nfa, satisfying_targets
+from rebac.paths import DIAMOND, EdgeCondition
 
 
 def chain(labels_on_edges):
@@ -98,11 +88,9 @@ def test_unknown_entities_rejected(five_node_graph):
 
 
 def test_oracle_reads_only_stored_triples(monkeypatch):
-    workspaces = [make_fixture(name) for name in sorted(FIXTURES)]
-
     def answers():
         found = []
-        for ws in workspaces:
+        for ws in [make_fixture(name) for name in sorted(FIXTURES)]:  # snapshots the oracle has not seen
             conditions = [rule.condition for rule in ws.system.principal_rules if rule.condition is not TOP]
             for request in ws.requests:
                 for pc in conditions:
@@ -118,3 +106,10 @@ def test_oracle_reads_only_stored_triples(monkeypatch):
     for name in ("has_edge", "label_index", "edges_incident"):
         monkeypatch.setattr(SystemGraph, name, forbidden)
     assert answers() == unpatched
+
+
+def test_oracle_answers_follow_the_snapshot_asked():
+    g = chain(["r"])
+    wider = g.with_edge("n1", "n0", "r")
+    pc = parse("~r")
+    assert [oracle_satisfies(s, "n0", "n1", pc) for s in (g, wider, g, wider)] == [False, True, False, True]

@@ -2,21 +2,18 @@ from __future__ import annotations
 
 import pytest
 
-from rebac import (
+from rebac import PathSyntaxError, parse, render, simplify
+from rebac.paths import (
     DIAMOND,
     Concat,
     EdgeCondition,
-    PathSyntaxError,
     Plus,
     Reverse,
     Star,
     UnknownLabelError,
     head,
     length,
-    parse,
     plus_count,
-    render,
-    simplify,
     suffix,
 )
 
@@ -113,11 +110,9 @@ def test_render_pushes_no_parens_on_concat_chains():
     assert render(parse("a . b . a")) == "a . b . a"
 
 
-def test_render_rejects_star_by_default():
-    star = Star(A)
-    with pytest.raises(ValueError):
-        render(star)
-    assert render(star, allow_star=True) == "a*"
+def test_render_writes_internal_star():
+    assert render(Star(A)) == "a*"
+    assert render(Star(parse("a . ~b"))) == "(a . ~b)*"
 
 
 def test_reversal_of_nested_condition_rewrites_to_simple_form():
@@ -170,7 +165,7 @@ def test_suffix_of_label_is_empty_condition():
 def test_suffix_of_repetition_keeps_zero_or_more_remainder():
     assert suffix(parse("a+")) == Star(A)
     got = suffix(parse("S+ . ~M . S . ~D", CORPORATE_LABELS))
-    assert render(got, allow_star=True) == "Supervises* . ~Member-of . Supervises . ~Deliverable-for"
+    assert render(got) == "Supervises* . ~Member-of . Supervises . ~Deliverable-for"
 
 
 def test_suffix_result_is_simple_form():

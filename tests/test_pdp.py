@@ -16,15 +16,11 @@ from rebac import (
     SystemModel,
     TOP,
     UnknownEntityError,
-    WILDCARD,
-    apply_defaults,
     evaluate,
     parse,
-    possible_decisions,
-    resolve,
 )
 from rebac.fixtures import corporate_workspace
-from rebac.pdp import DefaultStage, validate_system
+from rebac.pdp import WILDCARD, DefaultStage, apply_defaults, possible_decisions, resolve, validate_system
 
 MODEL = SystemModel(["t"], ["a"], permissible=[("t", "t", "a")])
 

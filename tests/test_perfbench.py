@@ -3,7 +3,8 @@
 ``perfbench/run.py`` imports names from ``rebac.paths``, ``rebac.oracle``,
 ``rebac.differential`` and ``rebac.pdp``, and its ``--trace 1`` mode
 rebinds functions and methods by name; renaming one breaks the
-benchmark, and these tests fail instead of the next benchmark run.
+benchmark, and these tests fail instead of the next benchmark run.  Each
+workload must also report every end-to-end metric ``BENCHMARK.json`` gates.
 """
 
 from __future__ import annotations
@@ -16,24 +17,47 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GATED = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def _run(*options: str) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--seed", "1", "--seconds", "0.05", *options]
-    completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    result = json.loads(completed.stdout.splitlines()[-1])
+WORKLOADS = ["churn", "corp-policy", "crosscheck", "deep-graph"]
+RUNS = [("--workload", workload) for workload in WORKLOADS] + [("--workload", "churn", "--trace", "1")]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Every run in this module, started together so that they share the
+    machine's cores; each test waits for its own."""
+    started = {
+        options: subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--seed", "1", "--seconds", "0.05", *options],
+            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for options in RUNS
+    }
+    yield started
+    for process in started.values():
+        process.kill()  # does nothing to a run that has finished
+        process.wait()
+
+
+def _result(runs, *options: str) -> dict:
+    stdout, stderr = runs[options].communicate(timeout=300)
+    assert runs[options].returncode == 0, stdout + stderr
+    result = json.loads(stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
     return result
 
 
-@pytest.mark.parametrize("workload", ["churn", "corp-policy", "crosscheck"])
-def test_benchmark_workload_runs_correctly(workload):
-    _run("--workload", workload)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_runs_correctly(workload, runs):
+    metrics = _result(runs, "--workload", workload)["metrics"]
+    assert sorted(metrics) == sorted(GATED)
+    assert all(metrics[name]["value"] > 0 for name in GATED), metrics
 
 
-def test_traced_benchmark_run_reports_graph_build():
+def test_traced_benchmark_run_reports_graph_build(runs):
     # the tracer rebinds SystemGraph.__init__ and SystemGraph.edges_incident
-    result = _run("--workload", "churn", "--trace", "1")
+    result = _result(runs, "--workload", "churn", "--trace", "1")
     assert result["metrics"]["graph.build_s"]["value"] > 0

@@ -15,10 +15,10 @@ from rebac import (
     loads_workspace,
     make_fixture,
     save_workspace,
-    workspace_to_dict,
 )
 from rebac.fixtures import FIXTURES
 from rebac.matching import TOP
+from rebac.workspace import workspace_to_dict
 
 from strategies import DOCUMENTS, JSON_VALUES, POSITIONS, json_type
 
