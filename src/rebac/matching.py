@@ -1,15 +1,19 @@
 """Principal matching: breadth-first search driven by path conditions.
 
 :func:`match_path` decides whether a condition connects two entities by
-exploring (node, residual condition) work items.  Each dequeued item
-peels the residual's head edge condition: the graph's label index gives
-the neighbours its label and direction reach, and traversing an edge
-leaves the residual's suffix to satisfy from the neighbor.  A residual
-whose first factor is a zero-or-more repetition is unfolded on dequeue
-into its zero branch and its one-or-more branch, recursively, since
-zero branches can expose further repetitions.  A seen set over (node,
-residual) pairs bounds the work by :func:`work_bound`,
-|V| * (length + 2 * plus_count + 1).
+exploring (node, state number) work items, where a state is a residual
+condition.  Each search numbers a residual the first time it meets it
+and keeps per-search tables indexed by number: the residual's unfolded
+branches (a residual whose first factor is a zero-or-more repetition
+unfolds into its one-or-more branch and its zero branch, recursively,
+since zero branches can expose further repetitions) and each branch's
+move, its head edge condition's label and direction and the number of
+its suffix.  So a residual is hashed once per search, however many
+nodes it pairs with.  Each dequeued item follows its branches' moves:
+the graph's label index gives the neighbours a head reaches, and
+traversing an edge leaves the suffix to satisfy from the neighbour.  A
+seen set over (node, state number) pairs bounds the work by
+:func:`work_bound`, |V| * (length + 2 * plus_count + 1).
 
 :func:`match_principals` runs an ordered rule list against a request
 and collects the principals of matching rules, either stopping at the
@@ -116,7 +120,7 @@ class MatchMetrics:
     branch's node's incident edges against its head would make (symmetric
     edges count twice: both traversal senses are attempted), up to the
     edge that ends a successful search, and
-    ``pairs_seen`` is the size of the (node, residual) seen set, the
+    ``pairs_seen`` is the size of the (node, state number) seen set, the
     quantity the termination bound speaks about.
     """
 
@@ -131,29 +135,65 @@ class MatchResult(NamedTuple):
     metrics: MatchMetrics
 
 
-def _unfold(residual: PathCondition) -> list[PathCondition]:
-    """Expand leading zero-or-more repetitions into star-free-headed
-    branches.  May yield the empty condition (a zero branch that
-    consumed the whole residual); duplicates are dropped."""
-    out: list[PathCondition] = []
-    queue = [residual]
-    expanded: set[PathCondition] = set()
-    while queue:
-        pc = queue.pop()
-        if pc in expanded:
-            continue
-        expanded.add(pc)
-        if isinstance(pc, Star):
-            starred, rest = pc.inner, DIAMOND
-        elif isinstance(pc, Concat) and isinstance(pc.left, Star):
-            starred, rest = pc.left.inner, pc.right
-        else:
-            out.append(pc)
-            continue
-        queue.append(rest)  # zero occurrences
-        plussed = Concat(Plus(starred), rest) if rest != DIAMOND else Plus(starred)
-        queue.append(plussed)  # one or more occurrences
-    return out
+_EMPTY = 0  # the empty condition's state number
+
+
+class _States:
+    """Numbers for the residuals one search meets, and what each needs.
+
+    State ``_EMPTY`` is the empty condition.  A residual gets the next number
+    the first time the search meets it, so the search hashes it once
+    and handles only ints after that.  ``branches[n]`` lists the
+    numbers of residual ``n``'s unfolded branches, worked out by
+    :meth:`unfold` when ``n`` is first dequeued; ``moves[b]`` is branch
+    ``b``'s head and suffix, worked out by :meth:`move` when ``b`` is
+    first active.
+    """
+
+    def __init__(self):
+        self.residuals: list[PathCondition] = [DIAMOND]
+        self.numbers: dict[PathCondition, int] = {DIAMOND: _EMPTY}
+        self.branches: list[list[int] | None] = [None]
+        self.moves: list[tuple[tuple[str, str], tuple[str, str], int] | None] = [None]
+
+    def number(self, residual: PathCondition) -> int:
+        state = self.numbers.get(residual)
+        if state is None:
+            state = self.numbers[residual] = len(self.residuals)
+            self.residuals.append(residual)
+            self.branches.append(None)
+            self.moves.append(None)
+        return state
+
+    def unfold(self, state: int) -> list[int]:
+        """Expand leading zero-or-more repetitions into star-free-headed
+        branches.  ``X* . K`` yields its one-or-more branch ``X+ . K``,
+        then the branches of ``K``, its zero branch, which may be the
+        empty condition.  No branch repeats: each ``K`` is a proper part
+        of the residual it came from, and each ``X+ . K`` contains its
+        ``K``."""
+        out: list[int] = []
+        residual = self.residuals[state]
+        while isinstance(residual, Star) or (isinstance(residual, Concat) and isinstance(residual.left, Star)):
+            if isinstance(residual, Star):
+                starred, residual = residual.inner, DIAMOND
+            else:
+                starred, residual = residual.left.inner, residual.right
+            out.append(self.number(Concat(Plus(starred), residual) if residual != DIAMOND else Plus(starred)))
+        # the star-free rest: the residual itself when it has no leading repetition
+        out.append(self.number(residual) if out else state)
+        self.branches[state] = out
+        return out
+
+    def move(self, branch: int) -> tuple[tuple[str, str], tuple[str, str], int]:
+        """A branch's head as its ``(label, way)`` and ``(label, "sym")``
+        keys into a node's label table, and its suffix's number."""
+        residual = self.residuals[branch]
+        want = head(residual)
+        way = "in" if want.reversed else "out"
+        move = (want.label, way), (want.label, "sym"), self.number(suffix(residual))
+        self.moves[branch] = move
+        return move
 
 
 def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
@@ -197,8 +237,11 @@ def match_path(
 
     bound = work_bound(graph, pi)
     neighbours, comparisons = graph.label_index()
-    seen: set[tuple[str, PathCondition]] = {(source, pi)}
-    queue: deque[tuple[str, PathCondition]] = deque([(source, pi)])
+    states = _States()
+    residuals, branches, moves = states.residuals, states.branches, states.moves
+    start = states.number(pi)
+    seen: set[tuple[str, int]] = {(source, start)}
+    queue: deque[tuple[str, int]] = deque([(source, start)])
     metrics.queue_peak = 1
     visited: set[str] = set()
 
@@ -206,22 +249,24 @@ def match_path(
         metrics.nodes_visited = len(visited)
         metrics.pairs_seen = len(seen)
         assert len(seen) <= bound, f"seen {len(seen)} pairs, bound {bound}"
+        # every numbered residual, the empty condition included, is one work_bound counts
+        assert len(residuals) * len(graph) <= bound, f"{len(residuals)} residuals, bound {bound}"
         return MatchResult(found, metrics)
 
     while queue:
-        node, residual = queue.popleft()
+        node, state = queue.popleft()
         visited.add(node)
 
-        active: list[PathCondition] = []
-        for branch in _unfold(residual):
-            if branch == DIAMOND:
+        active: list[int] = []
+        for branch in branches[state] or states.unfold(state):
+            if branch == _EMPTY:
                 # a zero branch consumed everything: target check here
                 if node == target:
                     if trace:
-                        trace(f"{node}  [{render(residual)}]  matched {target}")
+                        trace(f"{node}  [{render(residuals[state])}]  matched {target}")
                     return finish(True)
                 continue
-            if branch == residual:
+            if branch == state:
                 active.append(branch)
             elif (node, branch) not in seen:
                 seen.add((node, branch))
@@ -230,24 +275,23 @@ def match_path(
         table = neighbours.get(node, {})
         enqueued = 0
         for branch in active:
-            want = head(branch)
-            rest = suffix(branch)
-            way = "in" if want.reversed else "out"
-            direct = table.get((want.label, way), ())
-            symmetric = table.get((want.label, "sym"), ())
-            if rest == DIAMOND:
+            direct_key, symmetric_key, rest = moves[branch] or states.move(branch)
+            direct = table.get(direct_key, ())
+            symmetric = table.get(symmetric_key, ())
+            if rest == _EMPTY:
                 if target in direct or target in symmetric:
                     # recount a scan of the incident edges (direction groups in
                     # rank order, each by neighbour, then label) that stops at the hit
+                    want, way = direct_key
                     hit = DIRECTION_RANK[way if target in direct else "sym"]
                     for (label, direction), others in table.items():
                         rank = DIRECTION_RANK[direction]
                         if rank <= hit:
-                            cut = bisect_right if label <= want.label else bisect_left
+                            cut = bisect_right if label <= want else bisect_left
                             scanned = len(others) if rank < hit else cut(others, target)
                             metrics.edges_considered += scanned * (2 if direction == "sym" else 1)
                     if trace:
-                        trace(f"{node}  [{render(residual)}]  matched {target}")
+                        trace(f"{node}  [{render(residuals[state])}]  matched {target}")
                     return finish(True)
             else:
                 for others in (direct, symmetric):
@@ -262,7 +306,7 @@ def match_path(
             metrics.queue_peak = len(queue)
         if trace:
             outcome = f"enqueued {enqueued}" if enqueued else "dead end"
-            trace(f"{node}  [{render(residual)}]  {outcome}")
+            trace(f"{node}  [{render(residuals[state])}]  {outcome}")
 
     return finish(False)
 

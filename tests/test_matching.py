@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from rebac import (
@@ -13,9 +15,12 @@ from rebac import (
     match_path,
     parse,
 )
-from rebac.differential import run_differential
+from rebac.differential import _MODEL, DEFAULT_LABELS, random_condition, random_graph, run_differential
 from rebac.matching import match_principals, validate_policy
-from rebac.paths import DIAMOND, EdgeCondition, Plus, Star, length, plus_count
+from rebac.paths import DIAMOND, MAX_DEPTH, EdgeCondition, Plus, Star, length, plus_count
+
+from reference_matcher import reference_match_path
+from test_acceptance import _large_graph
 
 SINGLE = SystemModel(["t"], ["a", "b"], permissible=[("t", "t", "a"), ("t", "t", "b")])
 
@@ -106,6 +111,49 @@ def test_nested_closures_stay_within_the_work_bound(seed):
     # each trial sees more pairs than |V| * (length + plus_count + 1)
     report = run_differential(seed, 1)
     assert report.agreements == 1
+
+
+def _same_as_reference(graph, source, target, condition):
+    lines, reference_lines = [], []
+    result = match_path(graph, source, target, condition, trace=lines.append)
+    reference = reference_match_path(graph, source, target, condition, trace=reference_lines.append)
+    assert (result, lines) == (reference, reference_lines), (source, target, condition)
+
+
+def test_numbered_search_repeats_the_residual_search_exactly():
+    # found, all four metrics and every trace line
+    rng = random.Random(15)
+    for _ in range(4000):
+        graph = random_graph(rng)
+        nodes = graph.entity_ids
+        _same_as_reference(graph, rng.choice(nodes), rng.choice(nodes), random_condition(rng))
+
+
+def test_numbered_search_repeats_the_planted_hit_and_miss():
+    graph, source, target = _large_graph()
+    _same_as_reference(graph, source, target, parse("a . b+ . c . d . e"))
+    _same_as_reference(graph, "n0", "n999", parse("(a . ~b)+ . c+"))
+
+
+# one text per form, each MAX_DEPTH levels deep
+DEPTH_FORMS = [
+    "a" + "+" * (MAX_DEPTH - 1),
+    "(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1),
+    " . ".join(["a"] * MAX_DEPTH),
+    "~" * (MAX_DEPTH - 1) + "a",
+]
+
+
+def test_residuals_number_at_most_length_plus_twice_plus_count_plus_one():
+    # from a node with a loop of every label, every branch's head can be
+    # crossed, so a miss sees every residual once: pairs_seen counts them
+    loops = SystemGraph(_MODEL, {"x": "node", "y": "node"}, [("x", "x", label) for label in DEFAULT_LABELS])
+    rng = random.Random(15)
+    conditions = [random_condition(rng) for _ in range(5000)] + [parse(text) for text in DEPTH_FORMS]
+    for pc in conditions:
+        found, metrics = match_path(loops, "x", "y", pc)
+        assert not found
+        assert metrics.pairs_seen <= length(pc) + 2 * plus_count(pc) + 1, pc
 
 
 @pytest.mark.parametrize("repeated", [Plus, Star], ids=["plus", "star"])

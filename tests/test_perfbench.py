@@ -61,3 +61,6 @@ def test_traced_benchmark_run_reports_graph_build(runs):
     # the tracer rebinds SystemGraph.__init__ and SystemGraph.edges_incident
     result = _result(runs, "--workload", "churn", "--trace", "1")
     assert result["metrics"]["graph.build_s"]["value"] > 0
+    # and rebac.matching's globals: a matcher that bypasses them reads 0 here
+    assert result["metrics"]["paths.calls_per_op"]["value"] > 0
+    assert result["metrics"]["matching.match_path_calls_per_op"]["value"] > 0
