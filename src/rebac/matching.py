@@ -6,13 +6,15 @@ condition.  Each search numbers a residual the first time it meets it
 and keeps per-search tables indexed by number: the residual's unfolded
 branches (a residual whose first factor is a zero-or-more repetition
 unfolds into its one-or-more branch and its zero branch, recursively,
-since zero branches can expose further repetitions) and each branch's
-move, its head edge condition's label and direction and the number of
-its suffix.  So a residual is hashed once per search, however many
-nodes it pairs with.  Each dequeued item follows its branches' moves:
-the graph's label index gives the neighbours a head reaches, and
-traversing an edge leaves the suffix to satisfy from the neighbour.  A
-seen set over (node, state number) pairs bounds the work by
+since zero branches can expose further repetitions), each branch's
+move (the one key of a node's label table its head reads, ``(label,
+"sym")`` for a symmetric label and ``(label, "in" | "out")`` otherwise,
+and the number of its suffix) and the set of nodes already paired with
+it.  So a residual is hashed once per search, however many nodes it
+pairs with.  Each dequeued item follows its branches' moves: the key
+gives the neighbours a head reaches, and traversing an edge leaves the
+suffix to satisfy from the neighbour.  The node sets' total size, the
+number of (node, state number) pairs seen, is bounded by
 :func:`work_bound`, |V| * (length + 2 * plus_count + 1).
 
 :func:`match_principals` runs an ordered rule list against a request
@@ -26,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import DIRECTION_RANK, SystemGraph, UnknownEntityError
@@ -120,8 +123,9 @@ class MatchMetrics:
     branch's node's incident edges against its head would make (symmetric
     edges count twice: both traversal senses are attempted), up to the
     edge that ends a successful search, and
-    ``pairs_seen`` is the size of the (node, state number) seen set, the
-    quantity the termination bound speaks about.
+    ``pairs_seen`` is the number of (node, state number) pairs seen, the
+    total size of the per-state node sets and the quantity the
+    termination bound speaks about.
     """
 
     nodes_visited: int = 0
@@ -136,6 +140,7 @@ class MatchResult(NamedTuple):
 
 
 _EMPTY = 0  # the empty condition's state number
+_NO_EDGES = MappingProxyType({})  # the label table of every node without edges
 
 
 class _States:
@@ -143,24 +148,28 @@ class _States:
 
     State ``_EMPTY`` is the empty condition.  A residual gets the next number
     the first time the search meets it, so the search hashes it once
-    and handles only ints after that.  ``branches[n]`` lists the
+    and handles only ints after that.  ``seen[n]`` is the set of nodes
+    already paired with residual ``n``.  ``branches[n]`` lists the
     numbers of residual ``n``'s unfolded branches, worked out by
     :meth:`unfold` when ``n`` is first dequeued; ``moves[b]`` is branch
-    ``b``'s head and suffix, worked out by :meth:`move` when ``b`` is
-    first active.
+    ``b``'s label-table key and suffix, worked out by :meth:`move` when
+    ``b`` is first active.  ``symmetric`` is the graph's symmetric labels.
     """
 
-    def __init__(self):
+    def __init__(self, symmetric: frozenset[str]):
+        self.symmetric = symmetric
         self.residuals: list[PathCondition] = [DIAMOND]
         self.numbers: dict[PathCondition, int] = {DIAMOND: _EMPTY}
+        self.seen: list[set[str]] = [set()]
         self.branches: list[list[int] | None] = [None]
-        self.moves: list[tuple[tuple[str, str], tuple[str, str], int] | None] = [None]
+        self.moves: list[tuple[tuple[str, str], int] | None] = [None]
 
     def number(self, residual: PathCondition) -> int:
         state = self.numbers.get(residual)
         if state is None:
             state = self.numbers[residual] = len(self.residuals)
             self.residuals.append(residual)
+            self.seen.append(set())
             self.branches.append(None)
             self.moves.append(None)
         return state
@@ -185,13 +194,14 @@ class _States:
         self.branches[state] = out
         return out
 
-    def move(self, branch: int) -> tuple[tuple[str, str], tuple[str, str], int]:
-        """A branch's head as its ``(label, way)`` and ``(label, "sym")``
-        keys into a node's label table, and its suffix's number."""
+    def move(self, branch: int) -> tuple[tuple[str, str], int]:
+        """A branch's head as its one key into a node's label table,
+        ``(label, "sym")`` for a symmetric label and ``(label, way)``
+        otherwise, and its suffix's number."""
         residual = self.residuals[branch]
         want = head(residual)
-        way = "in" if want.reversed else "out"
-        move = (want.label, way), (want.label, "sym"), self.number(suffix(residual))
+        way = "sym" if want.label in self.symmetric else "in" if want.reversed else "out"
+        move = (want.label, way), self.number(suffix(residual))
         self.moves[branch] = move
         return move
 
@@ -230,28 +240,26 @@ def match_path(
             raise UnknownEntityError(entity)
 
     pi = simplify(condition)
-    metrics = MatchMetrics()
     if pi == DIAMOND:
         # the empty condition needs no traversal at all
-        return MatchResult(source == target, metrics)
+        return MatchResult(source == target, MatchMetrics())
 
     bound = work_bound(graph, pi)
     neighbours, comparisons = graph.label_index()
-    states = _States()
-    residuals, branches, moves = states.residuals, states.branches, states.moves
+    states = _States(graph.model.symmetric)
+    residuals, branches, moves, seen = states.residuals, states.branches, states.moves, states.seen
     start = states.number(pi)
-    seen: set[tuple[str, int]] = {(source, start)}
+    seen[start].add(source)
     queue: deque[tuple[str, int]] = deque([(source, start)])
-    metrics.queue_peak = 1
+    queue_peak, edges_considered = 1, 0
     visited: set[str] = set()
 
-    def finish(found: bool) -> MatchResult:
-        metrics.nodes_visited = len(visited)
-        metrics.pairs_seen = len(seen)
-        assert len(seen) <= bound, f"seen {len(seen)} pairs, bound {bound}"
+    def finish(found: bool, edges_considered: int, queue_peak: int) -> MatchResult:
+        pairs_seen = sum(map(len, seen))
+        assert pairs_seen <= bound, f"seen {pairs_seen} pairs, bound {bound}"
         # every numbered residual, the empty condition included, is one work_bound counts
         assert len(residuals) * len(graph) <= bound, f"{len(residuals)} residuals, bound {bound}"
-        return MatchResult(found, metrics)
+        return MatchResult(found, MatchMetrics(len(visited), edges_considered, queue_peak, pairs_seen))
 
     while queue:
         node, state = queue.popleft()
@@ -264,51 +272,52 @@ def match_path(
                 if node == target:
                     if trace:
                         trace(f"{node}  [{render(residuals[state])}]  matched {target}")
-                    return finish(True)
+                    return finish(True, edges_considered, queue_peak)
                 continue
             if branch == state:
                 active.append(branch)
-            elif (node, branch) not in seen:
-                seen.add((node, branch))
-                active.append(branch)
+            else:
+                nodes = seen[branch]
+                if node not in nodes:
+                    nodes.add(node)
+                    active.append(branch)
 
-        table = neighbours.get(node, {})
-        enqueued = 0
+        table = neighbours.get(node, _NO_EDGES)
+        cost = comparisons.get(node, 0)
+        before = len(queue)
         for branch in active:
-            direct_key, symmetric_key, rest = moves[branch] or states.move(branch)
-            direct = table.get(direct_key, ())
-            symmetric = table.get(symmetric_key, ())
+            key, rest = moves[branch] or states.move(branch)
+            others = table.get(key, ())
             if rest == _EMPTY:
-                if target in direct or target in symmetric:
+                if target in others:
                     # recount a scan of the incident edges (direction groups in
                     # rank order, each by neighbour, then label) that stops at the hit
-                    want, way = direct_key
-                    hit = DIRECTION_RANK[way if target in direct else "sym"]
+                    want, way = key
+                    hit = DIRECTION_RANK[way]
                     for (label, direction), others in table.items():
                         rank = DIRECTION_RANK[direction]
                         if rank <= hit:
                             cut = bisect_right if label <= want else bisect_left
                             scanned = len(others) if rank < hit else cut(others, target)
-                            metrics.edges_considered += scanned * (2 if direction == "sym" else 1)
+                            edges_considered += scanned * (2 if direction == "sym" else 1)
                     if trace:
                         trace(f"{node}  [{render(residuals[state])}]  matched {target}")
-                    return finish(True)
+                    return finish(True, edges_considered, queue_peak)
             else:
-                for others in (direct, symmetric):
-                    for neighbor in others:
-                        item = (neighbor, rest)
-                        if item not in seen:
-                            seen.add(item)
-                            queue.append(item)
-                            enqueued += 1
-            metrics.edges_considered += comparisons.get(node, 0)
-        if len(queue) > metrics.queue_peak:
-            metrics.queue_peak = len(queue)
+                nodes = seen[rest]
+                for neighbor in others:
+                    if neighbor not in nodes:
+                        nodes.add(neighbor)
+                        queue.append((neighbor, rest))
+            edges_considered += cost
+        if len(queue) > queue_peak:
+            queue_peak = len(queue)
         if trace:
+            enqueued = len(queue) - before
             outcome = f"enqueued {enqueued}" if enqueued else "dead end"
             trace(f"{node}  [{render(residuals[state])}]  {outcome}")
 
-    return finish(False)
+    return finish(False, edges_considered, queue_peak)
 
 
 @dataclass

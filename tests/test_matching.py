@@ -113,11 +113,12 @@ def test_nested_closures_stay_within_the_work_bound(seed):
     assert report.agreements == 1
 
 
-def _same_as_reference(graph, source, target, condition):
+def _same_as_reference(graph, source, target, condition) -> list[str]:
     lines, reference_lines = [], []
     result = match_path(graph, source, target, condition, trace=lines.append)
     reference = reference_match_path(graph, source, target, condition, trace=reference_lines.append)
     assert (result, lines) == (reference, reference_lines), (source, target, condition)
+    return lines
 
 
 def test_numbered_search_repeats_the_residual_search_exactly():
@@ -133,6 +134,49 @@ def test_numbered_search_repeats_the_planted_hit_and_miss():
     graph, source, target = _large_graph()
     _same_as_reference(graph, source, target, parse("a . b+ . c . d . e"))
     _same_as_reference(graph, "n0", "n999", parse("(a . ~b)+ . c+"))
+
+
+# the rule shapes of the deep-graph benchmark workload
+DEEP_GRAPH_CONDITIONS = ["a+ . (~e)+", "(a . ~b)+ . c+", "a . b+ . c . d . e", "~a . e . b"]
+
+
+def test_numbered_search_repeats_the_deep_graph_rules_with_a_symmetric_label():
+    # the large graph with e symmetric, as in that workload; the planted
+    # chain ends in a hit on e's sym key, whose recount spans every
+    # direction group
+    graph, source, target = _large_graph()
+    model = SystemModel(["node"], graph.model.labels, symmetric=["e"], permissible=graph.model.permissible)
+    graph = SystemGraph(model, dict.fromkeys(graph.entity_ids, "node"), graph.edges)
+    neighbours = graph.label_index()[0]
+    subjects = sorted(node for node, table in neighbours.items() if ("a", "out") in table)
+    rng = random.Random(19)
+    pairs = [(source, target)] + [(rng.choice(subjects), rng.choice(graph.entity_ids)) for _ in range(49)]
+    found, symmetric_exits = 0, 0
+    for text in DEEP_GRAPH_CONDITIONS:
+        for s, t in pairs:
+            lines = _same_as_reference(graph, s, t, parse(text))
+            found += lines[-1].endswith(f"matched {t}")
+            symmetric_exits += lines[-1].endswith(f"[e]  matched {t}")
+    assert symmetric_exits >= 1 and 0 < found < len(pairs) * len(DEEP_GRAPH_CONDITIONS)
+
+
+def _plain(index):
+    neighbours, comparisons = index
+    tables = {node: {key: list(others) for key, others in table.items()} for node, table in neighbours.items()}
+    return tables, dict(comparisons)
+
+
+def test_searches_leave_the_label_tables_unchanged():
+    # the tables are shared by snapshots and read in place; random graphs
+    # have a symmetric label, self-loops and nodes without edges
+    rng = random.Random(19)
+    for _ in range(300):
+        graph = random_graph(rng)
+        before = _plain(graph.label_index())
+        nodes = graph.entity_ids
+        for _ in range(3):
+            match_path(graph, rng.choice(nodes), rng.choice(nodes), random_condition(rng))
+        assert _plain(graph.label_index()) == before
 
 
 # one text per form, each MAX_DEPTH levels deep

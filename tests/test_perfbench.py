@@ -3,12 +3,14 @@
 ``perfbench/run.py`` imports names from ``rebac.paths``, ``rebac.oracle``,
 ``rebac.differential`` and ``rebac.pdp``, and its ``--trace 1`` mode
 rebinds functions and methods by name; renaming one breaks the
-benchmark, and these tests fail instead of the next benchmark run.  Each
-workload must also report every end-to-end metric ``BENCHMARK.json`` gates.
+benchmark or silently drops its metric, and these tests fail instead of
+the next benchmark run.  Each workload must also report every end-to-end
+metric ``BENCHMARK.json`` gates.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -64,3 +66,15 @@ def test_traced_benchmark_run_reports_graph_build(runs):
     # and rebac.matching's globals: a matcher that bypasses them reads 0 here
     assert result["metrics"]["paths.calls_per_op"]["value"] > 0
     assert result["metrics"]["matching.match_path_calls_per_op"]["value"] > 0
+
+
+def test_every_tracer_target_exists():
+    # the tracer skips a missing span or count target, so its metric reads 0;
+    # it rebinds SystemGraph.edges_incident unconditionally, so the run crashes
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(owner, attribute) for owner, attribute, _ in tracer._SPANNED + tracer._COUNTED]
+    targets.append((tracer.SystemGraph, "edges_incident"))
+    missing = [f"{owner.__name__}.{attribute}" for owner, attribute in targets if not hasattr(owner, attribute)]
+    assert missing == []
