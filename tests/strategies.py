@@ -1,4 +1,6 @@
-"""Hypothesis strategies shared by the property-based tests."""
+"""Hostile workspace JSON for the property-based tests: fixture documents
+with one value replaced, and arbitrary text.  Random graphs and
+conditions come from ``rebac.differential``, not from here."""
 
 from __future__ import annotations
 
@@ -7,69 +9,8 @@ import json
 
 import hypothesis.strategies as st
 
-from rebac import SystemGraph, SystemModel, dumps_workspace, make_fixture
+from rebac import dumps_workspace, make_fixture
 from rebac.fixtures import FIXTURES
-from rebac.paths import DIAMOND, Concat, EdgeCondition, Plus, Reverse
-
-LABELS = ("a", "b", "c")
-SYMMETRIC = ("c",)
-
-MODEL = SystemModel(
-    types=["node"],
-    labels=LABELS,
-    symmetric=SYMMETRIC,
-    permissible=[("node", "node", label) for label in LABELS],
-)
-
-
-def edge_conditions():
-    return st.builds(EdgeCondition, st.sampled_from(LABELS), st.booleans())
-
-
-def simple_conditions(max_leaves: int = 6):
-    """Conditions already in simple form (reversal only on labels)."""
-    trees = st.recursive(
-        edge_conditions(),
-        lambda kids: st.one_of(st.builds(Concat, kids, kids), st.builds(Plus, kids)),
-        max_leaves=max_leaves,
-    )
-    return st.just(DIAMOND) | trees
-
-
-def conditions(max_leaves: int = 6):
-    """Raw conditions: reversal and the empty condition anywhere."""
-    return st.recursive(
-        st.just(DIAMOND) | edge_conditions(),
-        lambda kids: st.one_of(
-            st.builds(Concat, kids, kids),
-            st.builds(Plus, kids),
-            st.builds(Reverse, kids),
-        ),
-        max_leaves=max_leaves,
-    )
-
-
-@st.composite
-def graphs(draw, max_nodes: int = 6) -> SystemGraph:
-    count = draw(st.integers(min_value=2, max_value=max_nodes))
-    nodes = [f"n{i}" for i in range(count)]
-    edges = draw(
-        st.sets(
-            st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), st.sampled_from(LABELS)),
-            max_size=2 * count,
-        )
-    )
-    return SystemGraph(MODEL, {n: "node" for n in nodes}, edges)
-
-
-@st.composite
-def graph_and_pair(draw, max_nodes: int = 6):
-    graph = draw(graphs(max_nodes=max_nodes))
-    nodes = graph.entity_ids
-    return graph, draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
-
-
-# -- hostile workspace JSON ----------------------------------------------------
 
 
 def _positions(value, path=()):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from rebac import GraphValidationError, SystemGraph, SystemModel, UnknownEntityError, match_path
+from rebac.differential import random_graph
 from rebac.graph import validate_model
 from rebac.paths import EdgeCondition
 
@@ -260,7 +261,9 @@ def unchecked_graphs(draw):
     """Models with undeclared symmetric labels and dangling permissible
     triples; entities of unknown types and the ``*`` id; edges to unknown
     entities and with unknown labels, duplicated, looped and given in
-    both orientations."""
+    both orientations.  Invalid on purpose, as ``workspace_texts`` builds
+    invalid documents, so it does not draw from ``rebac.differential``,
+    whose graphs are valid by construction."""
     model = SystemModel(
         types=draw(st.sets(st.sampled_from(TYPE_POOL), min_size=1)),
         labels=draw(st.sets(st.sampled_from(LABEL_POOL), min_size=1)),
@@ -284,18 +287,16 @@ def test_validate_graph_messages_and_order_are_exact(case):
 
 # -- the label index against tables computed from raw triples -----------------
 
-INDEX_MODEL = SystemModel(["node"], ["a", "b", "c"], ["c"], [("node", "node", label) for label in "abc"])
-NODES = ["n0", "n1", "n2", "n3"]
 DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
 
 
-def _expected_index(triples):
+def _expected_index(triples, symmetric):
     """Stored edges, per-node ``(label, direction) -> sorted neighbours``
     tables and comparison counts, from raw triples."""
-    stored = {(min(u, v), max(u, v), l) if l == "c" else (u, v, l) for u, v, l in triples}
+    stored = {(min(u, v), max(u, v), l) if l in symmetric else (u, v, l) for u, v, l in triples}
     sets: dict[str, dict] = {}
     for u, v, label in stored:
-        ends = [(u, "sym", v), (v, "sym", u)] if label == "c" else [(u, "out", v), (v, "in", u)]
+        ends = [(u, "sym", v), (v, "sym", u)] if label in symmetric else [(u, "out", v), (v, "in", u)]
         for node, direction, other in ends:
             sets.setdefault(node, {}).setdefault((label, direction), set()).add(other)
     tables = {node: {key: tuple(sorted(others)) for key, others in table.items()} for node, table in sets.items()}
@@ -306,70 +307,66 @@ def _expected_index(triples):
     return stored, tables, comparisons
 
 
-def _incident(stored, node):
+def _incident(tables, node):
     """``node``'s incident edges as ``(neighbour, label, direction)`` in
     incident order: ``out``, then ``in``, then ``sym``, each group by
     (neighbour, label).  A symmetric edge, a loop too, appears once."""
-    incident = []
-    for u, v, label in stored:
-        if label == "c":
-            if node in (u, v):
-                incident.append((v if node == u else u, label, "sym"))
-        else:
-            if u == node:
-                incident.append((v, label, "out"))
-            if v == node:
-                incident.append((u, label, "in"))
+    incident = [(other, label, way) for (label, way), others in tables.get(node, {}).items() for other in others]
     return sorted(incident, key=lambda edge: (DIRECTION_RANK[edge[2]], edge[0], edge[1]))
 
 
-@st.composite
-def raw_triples(draw):
-    """Triples with duplicates, reversed copies (so symmetric edges come in
-    both orientations) and symmetric loops."""
-    triples = draw(st.lists(st.tuples(*[st.sampled_from(NODES)] * 2, st.sampled_from("abc")), max_size=16))
+def _raw_triples(rng) -> tuple[SystemGraph, list]:
+    """A generated graph's stored edges with duplicates, reversed copies
+    (so symmetric edges come in both orientations) and symmetric loops
+    added, all chosen by ``rng``, and the graph built from them."""
+    generated = random_graph(rng)
+    nodes, triples = generated.entity_ids, sorted(generated.edges)
     if triples:
-        triples += draw(st.lists(st.sampled_from(triples), max_size=4))
-        triples += [(v, u, label) for u, v, label in draw(st.lists(st.sampled_from(triples), max_size=4))]
-    return triples + [(u, u, "c") for u in draw(st.lists(st.sampled_from(NODES), max_size=2))]
+        triples += [rng.choice(triples) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(0, 4)):
+            u, v, label = rng.choice(triples)
+            triples.append((v, u, label))
+    for _ in range(rng.randint(0, 2)):
+        node = rng.choice(nodes)
+        triples.append((node, node, rng.choice(sorted(generated.model.symmetric))))
+    note(f"graph: {len(nodes)} nodes, triples {triples}")
+    return SystemGraph(generated.model, dict.fromkeys(nodes, "node"), triples), triples
 
 
-def _index_graph(nodes, triples) -> SystemGraph:
-    return SystemGraph(INDEX_MODEL, {n: "node" for n in nodes}, triples)
-
-
-@given(raw_triples())
+@given(st.randoms())
 @settings(max_examples=300, deadline=None)
-def test_fresh_label_index_matches_tables_built_from_raw_triples(triples):
-    stored, tables, comparisons = _expected_index(triples)
-    graph = _index_graph(NODES, triples)
+def test_fresh_label_index_matches_tables_built_from_raw_triples(rng):
+    graph, triples = _raw_triples(rng)
+    nodes, symmetric = graph.entity_ids, graph.model.symmetric
+    stored, tables, comparisons = _expected_index(triples, symmetric)
     assert graph.label_index() == (tables, comparisons)
     assert graph.edges == stored
     assert graph.edge_count == len(stored)
-    for u in NODES:
-        assert graph.edges_incident(u) == tuple(_incident(stored, u))
-        for v in NODES:
-            for label in "abc":
-                expected = (min(u, v), max(u, v), label) in stored if label == "c" else (u, v, label) in stored
-                assert graph.has_edge(u, v, label) == expected
+    for u in nodes:
+        assert graph.edges_incident(u) == tuple(_incident(tables, u))
+        for v in nodes:
+            for label in graph.model.labels:
+                expected = (min(u, v), max(u, v), label) if label in symmetric else (u, v, label)
+                assert graph.has_edge(u, v, label) == (expected in stored)
 
 
-@given(raw_triples())
+@given(st.randoms())
 @settings(max_examples=300, deadline=None)
-def test_found_exit_recount_follows_incident_order(triples):
+def test_found_exit_recount_follows_incident_order(rng):
     """A one-edge condition that holds ends the search at its first work
     item, so ``edges_considered`` is exactly the recount: the comparisons
     of a scan over the source's incident edges, in incident order, up to
     and including the edge that hit."""
-    stored, _, _ = _expected_index(triples)
-    graph = _index_graph(NODES, triples)
-    for u in NODES:
-        incident = _incident(stored, u)
-        for v in NODES:
-            for label in "abc":
+    graph, triples = _raw_triples(rng)
+    nodes, symmetric = graph.entity_ids, graph.model.symmetric
+    _, tables, _ = _expected_index(triples, symmetric)
+    for u in nodes:
+        incident = _incident(tables, u)
+        for v in nodes:
+            for label in graph.model.labels:
                 for reversed_ in (False, True):
                     result = match_path(graph, u, v, EdgeCondition(label, reversed_))
-                    direction = "sym" if label == "c" else "in" if reversed_ else "out"
+                    direction = "sym" if label in symmetric else "in" if reversed_ else "out"
                     hit = next((i for i, edge in enumerate(incident) if edge == (v, label, direction)), None)
                     assert result.found == (hit is not None)
                     if result.found:
@@ -378,13 +375,15 @@ def test_found_exit_recount_follows_incident_order(triples):
                         assert result.metrics.edges_considered == expected
 
 
-@given(raw_triples(), st.sampled_from(NODES))
+@given(st.randoms())
 @settings(max_examples=300, deadline=None)
-def test_without_entity_shares_untouched_tables_and_equals_a_rebuilt_graph(triples, entity):
-    graph = _index_graph(NODES, triples)
+def test_without_entity_shares_untouched_tables_and_equals_a_rebuilt_graph(rng):
+    graph, triples = _raw_triples(rng)
+    entity = rng.choice(graph.entity_ids)
+    note(f"without_entity({entity!r})")
     smaller = graph.without_entity(entity)
-    rest = [n for n in NODES if n != entity]
-    rebuilt = _index_graph(rest, [(u, v, label) for u, v, label in triples if entity not in (u, v)])
+    rest = dict.fromkeys((n for n in graph.entity_ids if n != entity), "node")
+    rebuilt = SystemGraph(graph.model, rest, [(u, v, label) for u, v, label in triples if entity not in (u, v)])
     assert smaller.label_index() == rebuilt.label_index()
     assert smaller.edges == rebuilt.edges
     assert smaller.edge_count == rebuilt.edge_count

@@ -14,10 +14,12 @@ from rebac import (
     UnknownEntityError,
     match_path,
     parse,
+    render,
+    work_bound,
 )
-from rebac.differential import _MODEL, DEFAULT_LABELS, random_condition, random_graph, run_differential
+from rebac.differential import random_condition, random_graph, random_simple_condition, run_differential
 from rebac.matching import match_principals, validate_policy
-from rebac.paths import DIAMOND, MAX_DEPTH, EdgeCondition, Plus, Star, length, plus_count
+from rebac.paths import DIAMOND, MAX_DEPTH, Concat, EdgeCondition, Plus, Star, length, plus_count
 
 from reference_matcher import reference_match_path
 from test_acceptance import _large_graph
@@ -106,11 +108,34 @@ def test_seen_bound_holds_for_adversarial_conditions():
         assert metrics.queue_peak <= bound
 
 
-@pytest.mark.parametrize("seed", [4264359290, 3101670111, 456755500])
+def test_work_bound_counts_leading_stars():
+    # a* . b* sees 7 pairs: more than a bound that leaves out the stars
+    g = small(["x", "y"], [("x", "y", "a"), ("y", "x", "b"), ("x", "x", "b")])
+    pc = Concat(Star(EdgeCondition("a")), Star(EdgeCondition("b")))
+    _, metrics = match_path(g, "x", "y", pc)
+    assert len(g) * (length(pc) + 1) < metrics.pairs_seen <= work_bound(g, pc)
+    assert metrics.nodes_visited <= work_bound(g, pc)
+
+
+# the condition and |V| of the trial run_differential draws from each seed
+REPRODUCERS = {
+    4264359290: ("((~c)+ . c)+ . (c . ((~a)+ . ~c)+ . a)+", 2),
+    3101670111: ("((c+ . ~c)+ . ((~c . c)+ . c)+)+", 2),
+    456755500: ("((c+ . c)+ . ~c)+", 5),
+}
+
+
+@pytest.mark.parametrize("seed", REPRODUCERS)
 def test_nested_closures_stay_within_the_work_bound(seed):
-    # each trial sees more pairs than |V| * (length + plus_count + 1)
-    report = run_differential(seed, 1)
-    assert report.agreements == 1
+    # each trial sees more pairs than the old bound |V| * (length + plus_count + 1)
+    rng = random.Random(seed)
+    graph, condition = random_graph(rng), random_simple_condition(rng)
+    nodes = graph.entity_ids
+    _, metrics = match_path(graph, rng.choice(nodes), rng.choice(nodes), condition)
+    assert (render(condition), len(graph)) == REPRODUCERS[seed]
+    assert len(graph) * (length(condition) + plus_count(condition) + 1) < metrics.pairs_seen
+    assert metrics.pairs_seen <= work_bound(graph, condition)
+    assert run_differential(seed, 1).agreements == 1
 
 
 def _same_as_reference(graph, source, target, condition) -> list[str]:
@@ -191,8 +216,9 @@ DEPTH_FORMS = [
 def test_residuals_number_at_most_length_plus_twice_plus_count_plus_one():
     # from a node with a loop of every label, every branch's head can be
     # crossed, so a miss sees every residual once: pairs_seen counts them
-    loops = SystemGraph(_MODEL, {"x": "node", "y": "node"}, [("x", "x", label) for label in DEFAULT_LABELS])
     rng = random.Random(15)
+    model = random_graph(rng).model
+    loops = SystemGraph(model, {"x": "node", "y": "node"}, [("x", "x", label) for label in model.labels])
     conditions = [random_condition(rng) for _ in range(5000)] + [parse(text) for text in DEPTH_FORMS]
     for pc in conditions:
         found, metrics = match_path(loops, "x", "y", pc)

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from hypothesis import example, given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from rebac import (
@@ -16,6 +16,7 @@ from rebac import (
     simplify,
     work_bound,
 )
+from rebac.differential import DEFAULT_LABELS, random_condition, random_graph, random_simple_condition
 from rebac.matching import match_principals
 from rebac.oracle import satisfying_targets
 from rebac.paths import (
@@ -25,7 +26,6 @@ from rebac.paths import (
     EdgeCondition,
     Plus,
     Reverse,
-    Star,
     head,
     length,
     plus_count,
@@ -33,29 +33,47 @@ from rebac.paths import (
 )
 from rebac.pdp import resolve
 
-from strategies import LABELS, MODEL, SYMMETRIC, conditions, graph_and_pair, graphs, simple_conditions
+from relational_semantics import relation
 
 
-@given(graph_and_pair(), conditions())
+def _condition(rng, generate=random_condition):
+    pc = generate(rng)
+    note(f"condition: {render(pc)}")
+    return pc
+
+
+def _trial(rng, generate=random_condition):
+    """A graph, a condition and a pair in ``run_differential``'s draw order,
+    from ``st.randoms()`` so that hypothesis shrinks each draw."""
+    graph, pc = random_graph(rng), generate(rng)
+    source, target = rng.choice(graph.entity_ids), rng.choice(graph.entity_ids)
+    note(f"({source!r}, {target!r}) under {render(pc)} on {len(graph)} nodes, edges {sorted(graph.edges)}")
+    return graph, pc, source, target
+
+
+@given(st.randoms())
 @settings(max_examples=300, deadline=None)
-def test_matcher_agrees_with_oracle(pair, pc):
-    graph, source, target = pair
-    assert match_path(graph, source, target, pc).found == oracle_satisfies(
-        graph, source, target, pc
-    )
+def test_matcher_agrees_with_oracle(rng):
+    graph, pc, source, target = _trial(rng)
+    assert match_path(graph, source, target, pc).found == oracle_satisfies(graph, source, target, pc)
 
 
-@given(graphs(), conditions())
-@settings(max_examples=150, deadline=None)
-def test_simplification_preserves_meaning_everywhere(graph, pc):
-    simple = simplify(pc)
+@given(st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_simplification_preserves_meaning_everywhere(rng):
+    # both deciders simplify the raw condition; the relation never does
+    graph, pc, _, _ = _trial(rng)
+    pairs = relation(graph, pc)
     for source in graph.entity_ids:
-        assert satisfying_targets(graph, source, pc) == satisfying_targets(graph, source, simple)
+        for target in graph.entity_ids:
+            holds = (source, target) in pairs
+            assert match_path(graph, source, target, pc).found == holds, (source, target)
+            assert oracle_satisfies(graph, source, target, pc) == holds, (source, target)
 
 
-@given(conditions())
-def test_simplification_is_idempotent(pc):
-    simple = simplify(pc)
+@given(st.randoms())
+def test_simplification_is_idempotent(rng):
+    simple = simplify(_condition(rng))
     assert simplify(simple) == simple
 
 
@@ -75,43 +93,42 @@ def _is_simple(pc) -> bool:
     return False  # Reverse and Star must be gone
 
 
-@given(conditions())
-def test_simple_form_is_structurally_simple(pc):
-    assert _is_simple(simplify(pc))
+@given(st.randoms())
+def test_simple_form_is_structurally_simple(rng):
+    assert _is_simple(simplify(_condition(rng)))
 
 
-@given(conditions())
-def test_rendered_conditions_parse_back_to_the_same_meaning(pc):
-    assert simplify(parse(render(simplify(pc)), frozenset(LABELS))) == simplify(pc)
+@given(st.randoms())
+def test_rendered_conditions_parse_back_to_the_same_meaning(rng):
+    simple = simplify(_condition(rng))
+    assert simplify(parse(render(simple), frozenset(DEFAULT_LABELS))) == simple
 
 
-@given(graphs(), simple_conditions())
+@given(st.randoms())
 @settings(max_examples=150, deadline=None)
-def test_head_suffix_recomposition(graph, pc):
+def test_head_suffix_recomposition(rng):
+    graph, pc, _, _ = _trial(rng, random_simple_condition)
     simple = simplify(pc)
     if isinstance(simple, Diamond):
         return
     recomposed = Concat(head(simple), suffix(simple))
     for source in graph.entity_ids:
-        assert satisfying_targets(graph, source, simple) == satisfying_targets(
-            graph, source, recomposed
-        )
+        assert satisfying_targets(graph, source, simple) == satisfying_targets(graph, source, recomposed), source
 
 
-@given(graph_and_pair(), conditions())
+@given(st.randoms())
 @settings(max_examples=200, deadline=None)
-def test_reversal_swaps_source_and_target(pair, pc):
-    graph, source, target = pair
-    assert (
-        match_path(graph, source, target, pc).found
-        == match_path(graph, target, source, Reverse(pc)).found
-    )
+def test_reversal_swaps_source_and_target(rng):
+    graph, pc, source, target = _trial(rng)
+    assert match_path(graph, source, target, pc).found == match_path(graph, target, source, Reverse(pc)).found
 
 
-@given(graph_and_pair(), conditions(), st.sampled_from(LABELS))
+@given(st.randoms())
 @settings(max_examples=150, deadline=None)
-def test_adding_an_edge_never_breaks_a_match(pair, pc, label):
-    graph, source, target = pair
+def test_adding_an_edge_never_breaks_a_match(rng):
+    graph, pc, source, target = _trial(rng)
+    label = rng.choice(sorted(graph.model.labels))
+    note(f"added label: {label}")
     if not match_path(graph, source, target, pc).found:
         return
     ids = sorted(graph.entity_ids)
@@ -122,27 +139,22 @@ def test_adding_an_edge_never_breaks_a_match(pair, pc, label):
     assert match_path(grown, source, target, pc).found
 
 
-@given(graph_and_pair(), simple_conditions())
+@given(st.randoms())
 @settings(max_examples=200, deadline=None)
-@example(  # a* . b* sees 7 pairs: more than a bound that leaves out the stars
-    (SystemGraph(MODEL, {"x": "node", "y": "node"}, [("x", "y", "a"), ("y", "x", "b"), ("x", "x", "b")]), "x", "y"),
-    Concat(Star(EdgeCondition("a")), Star(EdgeCondition("b"))),
-)
-def test_work_bound_holds(pair, pc):
-    graph, source, target = pair
+def test_work_bound_holds(rng):
+    graph, pc, source, target = _trial(rng, random_simple_condition)
     _, metrics = match_path(graph, source, target, pc)
     bound = work_bound(graph, pc)
     assert metrics.pairs_seen <= bound
     assert metrics.nodes_visited <= bound
 
 
-@given(graph_and_pair(), st.lists(simple_conditions(max_leaves=3), max_size=4))
+@given(st.randoms())
 @settings(max_examples=100, deadline=None)
-def test_first_match_is_prefix_of_all_match(pair, condition_list):
-    graph, source, target = pair
-    rules = [
-        PrincipalMatchingRule(pc, f"p{i}") for i, pc in enumerate(condition_list)
-    ]
+def test_first_match_is_prefix_of_all_match(rng):
+    graph, pc, source, target = _trial(rng, random_simple_condition)
+    conditions = [pc] + [_condition(rng, random_simple_condition) for _ in range(rng.randint(0, 3))]
+    rules = [PrincipalMatchingRule(pc, f"p{i}") for i, pc in enumerate(conditions)]
     first = match_principals(graph, source, target, rules, MatchStrategy.FIRST_MATCH)
     everything = match_principals(graph, source, target, rules, MatchStrategy.ALL_MATCH)
     assert first.principals == everything.principals[:1]
@@ -161,24 +173,38 @@ def test_conflict_resolution_laws(bits):
     )
 
 
-@given(graph_and_pair())
-def test_empty_condition_means_identity(pair):
-    graph, source, target = pair
-    assert match_path(graph, source, target, DIAMOND).found == (source == target)
+@given(st.randoms())
+def test_empty_condition_means_identity(rng):
+    graph, pc, source, target = _trial(rng, lambda rng: DIAMOND)
+    assert match_path(graph, source, target, pc).found == (source == target)
 
 
-@given(conditions())
-def test_length_and_plus_count_survive_simplification(pc):
-    simple = simplify(pc)
-    assert length(simple) == length(pc)
-    assert plus_count(simple) >= 0
+def _raw_counts(pc) -> tuple[int, int]:
+    """Label leaves, and ``+`` nodes with a label under them, of a raw tree."""
+    if isinstance(pc, EdgeCondition):
+        return 1, 0
+    if isinstance(pc, Concat):
+        (left_labels, left_pluses), (right_labels, right_pluses) = _raw_counts(pc.left), _raw_counts(pc.right)
+        return left_labels + right_labels, left_pluses + right_pluses
+    if isinstance(pc, (Plus, Reverse)):
+        labels, pluses = _raw_counts(pc.inner)
+        return labels, pluses + (1 if isinstance(pc, Plus) and labels else 0)
+    return 0, 0
 
 
-@given(graphs())
+@given(st.randoms())
+def test_length_and_plus_count_survive_simplification(rng):
+    # simplification keeps every label and drops only repetitions of the
+    # empty condition, so the raw tree's counts are the simple form's
+    pc = _condition(rng)
+    assert (length(pc), plus_count(pc)) == _raw_counts(pc)
+
+
+@given(st.randoms())
 @settings(max_examples=50, deadline=None)
-def test_functional_updates_preserve_wellformedness(graph):
-    snapshots = [graph, graph.without_entity(graph.entity_ids[0])] if graph.entity_ids else [graph]
-    for snapshot in snapshots:  # the constructor raises on any violation
+def test_functional_updates_preserve_wellformedness(rng):
+    graph, _, _, _ = _trial(rng, lambda rng: DIAMOND)
+    for snapshot in [graph, graph.without_entity(graph.entity_ids[0])]:  # the constructor raises on any violation
         SystemGraph(snapshot.model, {e: snapshot.type_of(e) for e in snapshot.entity_ids}, snapshot.edges)
 
 
@@ -189,50 +215,55 @@ def _answers(graph, conditions):
         graph.edges,
         graph.edge_count,
         [graph.edges_incident(v) for v in nodes],
-        [graph.has_edge(u, v, label) for u in nodes for v in nodes for label in LABELS],
+        [graph.has_edge(u, v, label) for u in nodes for v in nodes for label in graph.model.labels],
         [match_path(graph, u, v, pc) for u in nodes for v in nodes for pc in conditions],
     )
 
 
-@given(graphs(max_nodes=4), st.lists(simple_conditions(max_leaves=4), min_size=1, max_size=2), st.data())
+@given(st.randoms())
 @settings(max_examples=150, deadline=None)
-def test_updated_snapshots_equal_rebuilt_graphs(graph, conds, data):
+def test_updated_snapshots_equal_rebuilt_graphs(rng):
+    drawn = random_graph(rng)
+    model = drawn.model
+    entities = dict.fromkeys(drawn.entity_ids[:4], "node")  # at most four nodes keep the answers cheap
+    edges = {edge for edge in drawn.edges if edge[0] in entities and edge[1] in entities}
+    graph = SystemGraph(model, entities, edges)
+    note(f"{len(entities)} nodes, edges {sorted(edges)}")
+    conds = [_condition(rng, random_simple_condition) for _ in range(rng.randint(1, 2))]
     pool = [f"n{i}" for i in range(5)]
-    entities = {entity: graph.type_of(entity) for entity in graph.entity_ids}
-    edges = set(graph.edges)
     history = []  # (snapshot, its answers) of every snapshot so far
-    if data.draw(st.booleans(), label="index the first snapshot before updating it"):
+    if rng.random() < 0.5:  # index the first snapshot before updating it
         history.append((graph, _answers(graph, conds)))
-    for _ in range(data.draw(st.integers(1, 6), label="updates")):
-        kind = data.draw(st.sampled_from(["with_edge", "without_edge", "with_entity", "without_entity"]))
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["with_edge", "without_edge", "with_entity", "without_entity"])
         if kind in ("with_edge", "without_edge"):
-            if edges and data.draw(st.booleans(), label="an edge that is present"):
-                u, v, label = data.draw(st.sampled_from(sorted(edges)))
-                if label in SYMMETRIC and data.draw(st.booleans(), label="reversed"):
+            if edges and rng.random() < 0.5:  # an edge that is present
+                u, v, label = rng.choice(sorted(edges))
+                if label in model.symmetric and rng.random() < 0.5:
                     u, v = v, u
             else:
                 nodes = sorted(entities)
-                u, v = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
-                label = data.draw(st.sampled_from(LABELS))
-            graph = getattr(graph, kind)(u, v, label)
-            stored = (min(u, v), max(u, v), label) if label in SYMMETRIC else (u, v, label)
+                u, v, label = rng.choice(nodes), rng.choice(nodes), rng.choice(sorted(model.labels))
+            update = (u, v, label)
+            stored = (min(u, v), max(u, v), label) if label in model.symmetric else update
             (edges.add if kind == "with_edge" else edges.discard)(stored)
         elif kind == "with_entity":
             absent = sorted(set(pool) - set(entities))
             if not absent:
                 continue
-            entity = data.draw(st.sampled_from(absent))
-            graph = graph.with_entity(entity, "node")
-            entities[entity] = "node"
+            update = (rng.choice(absent), "node")
+            entities[update[0]] = "node"
         else:
             if len(entities) == 1:
                 continue
-            entity = data.draw(st.sampled_from(sorted(entities)))
-            graph = graph.without_entity(entity)
+            entity = rng.choice(sorted(entities))
+            update = (entity,)
             del entities[entity]
             edges = {e for e in edges if entity not in e[:2]}
+        note(f"{kind}{update}")
+        graph = getattr(graph, kind)(*update)
         answers = _answers(graph, conds)
-        assert answers == _answers(SystemGraph(MODEL, entities, edges), conds)
+        assert answers == _answers(SystemGraph(model, entities, edges), conds)
         history.append((graph, answers))
     # no update changed a table that an earlier snapshot shares
     for snapshot, answers in history:
