@@ -322,13 +322,10 @@ def _raw_triples(rng) -> tuple[SystemGraph, list]:
     generated = random_graph(rng)
     nodes, triples = generated.entity_ids, sorted(generated.edges)
     if triples:
-        triples += [rng.choice(triples) for _ in range(rng.randint(0, 4))]
-        for _ in range(rng.randint(0, 4)):
-            u, v, label = rng.choice(triples)
-            triples.append((v, u, label))
-    for _ in range(rng.randint(0, 2)):
-        node = rng.choice(nodes)
-        triples.append((node, node, rng.choice(sorted(generated.model.symmetric))))
+        triples += rng.choices(triples, k=rng.randint(0, 4))
+        triples += [(v, u, label) for u, v, label in rng.choices(triples, k=rng.randint(0, 4))]
+    symmetric = sorted(generated.model.symmetric)
+    triples += [(node, node, rng.choice(symmetric)) for node in rng.choices(nodes, k=rng.randint(0, 2))]
     note(f"graph: {len(nodes)} nodes, triples {triples}")
     return SystemGraph(generated.model, dict.fromkeys(nodes, "node"), triples), triples
 

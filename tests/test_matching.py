@@ -130,8 +130,7 @@ def test_nested_closures_stay_within_the_work_bound(seed):
     # each trial sees more pairs than the old bound |V| * (length + plus_count + 1)
     rng = random.Random(seed)
     graph, condition = random_graph(rng), random_simple_condition(rng)
-    nodes = graph.entity_ids
-    _, metrics = match_path(graph, rng.choice(nodes), rng.choice(nodes), condition)
+    _, metrics = match_path(graph, rng.choice(graph.entity_ids), rng.choice(graph.entity_ids), condition)
     assert (render(condition), len(graph)) == REPRODUCERS[seed]
     assert len(graph) * (length(condition) + plus_count(condition) + 1) < metrics.pairs_seen
     assert metrics.pairs_seen <= work_bound(graph, condition)

@@ -42,13 +42,22 @@ def _condition(rng, generate=random_condition):
     return pc
 
 
-def _trial(rng, generate=random_condition):
-    """A graph, a condition and a pair in ``run_differential``'s draw order,
-    from ``st.randoms()`` so that hypothesis shrinks each draw."""
-    graph, pc = random_graph(rng), generate(rng)
+def _graph(rng):
+    graph = random_graph(rng)
+    note(f"{len(graph)} nodes, edges {sorted(graph.edges)}")
+    return graph
+
+
+def _pair(rng, graph):
     source, target = rng.choice(graph.entity_ids), rng.choice(graph.entity_ids)
-    note(f"({source!r}, {target!r}) under {render(pc)} on {len(graph)} nodes, edges {sorted(graph.edges)}")
-    return graph, pc, source, target
+    note(f"pair: ({source!r}, {target!r})")
+    return source, target
+
+
+def _trial(rng, generate=random_condition):
+    """A graph, a condition and a pair, in ``run_differential``'s draw order."""
+    graph, pc = _graph(rng), _condition(rng, generate)
+    return (graph, pc, *_pair(rng, graph))
 
 
 @given(st.randoms())
@@ -62,13 +71,12 @@ def test_matcher_agrees_with_oracle(rng):
 @settings(max_examples=300, deadline=None)
 def test_simplification_preserves_meaning_everywhere(rng):
     # both deciders simplify the raw condition; the relation never does
-    graph, pc, _, _ = _trial(rng)
+    graph, pc = _graph(rng), _condition(rng)
     pairs = relation(graph, pc)
     for source in graph.entity_ids:
         for target in graph.entity_ids:
-            holds = (source, target) in pairs
-            assert match_path(graph, source, target, pc).found == holds, (source, target)
-            assert oracle_satisfies(graph, source, target, pc) == holds, (source, target)
+            assert match_path(graph, source, target, pc).found == ((source, target) in pairs), (source, target)
+            assert oracle_satisfies(graph, source, target, pc) == ((source, target) in pairs), (source, target)
 
 
 @given(st.randoms())
@@ -107,8 +115,8 @@ def test_rendered_conditions_parse_back_to_the_same_meaning(rng):
 @given(st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_head_suffix_recomposition(rng):
-    graph, pc, _, _ = _trial(rng, random_simple_condition)
-    simple = simplify(pc)
+    graph = _graph(rng)
+    simple = simplify(_condition(rng, random_simple_condition))
     if isinstance(simple, Diamond):
         return
     recomposed = Concat(head(simple), suffix(simple))
@@ -152,9 +160,9 @@ def test_work_bound_holds(rng):
 @given(st.randoms())
 @settings(max_examples=100, deadline=None)
 def test_first_match_is_prefix_of_all_match(rng):
-    graph, pc, source, target = _trial(rng, random_simple_condition)
-    conditions = [pc] + [_condition(rng, random_simple_condition) for _ in range(rng.randint(0, 3))]
-    rules = [PrincipalMatchingRule(pc, f"p{i}") for i, pc in enumerate(conditions)]
+    graph = _graph(rng)
+    source, target = _pair(rng, graph)
+    rules = [PrincipalMatchingRule(_condition(rng, random_simple_condition), f"p{i}") for i in range(rng.randint(0, 4))]
     first = match_principals(graph, source, target, rules, MatchStrategy.FIRST_MATCH)
     everything = match_principals(graph, source, target, rules, MatchStrategy.ALL_MATCH)
     assert first.principals == everything.principals[:1]
@@ -175,8 +183,9 @@ def test_conflict_resolution_laws(bits):
 
 @given(st.randoms())
 def test_empty_condition_means_identity(rng):
-    graph, pc, source, target = _trial(rng, lambda rng: DIAMOND)
-    assert match_path(graph, source, target, pc).found == (source == target)
+    graph = _graph(rng)
+    source, target = _pair(rng, graph)
+    assert match_path(graph, source, target, DIAMOND).found == (source == target)
 
 
 def _raw_counts(pc) -> tuple[int, int]:
@@ -184,8 +193,7 @@ def _raw_counts(pc) -> tuple[int, int]:
     if isinstance(pc, EdgeCondition):
         return 1, 0
     if isinstance(pc, Concat):
-        (left_labels, left_pluses), (right_labels, right_pluses) = _raw_counts(pc.left), _raw_counts(pc.right)
-        return left_labels + right_labels, left_pluses + right_pluses
+        return tuple(map(sum, zip(_raw_counts(pc.left), _raw_counts(pc.right))))
     if isinstance(pc, (Plus, Reverse)):
         labels, pluses = _raw_counts(pc.inner)
         return labels, pluses + (1 if isinstance(pc, Plus) and labels else 0)
@@ -203,7 +211,7 @@ def test_length_and_plus_count_survive_simplification(rng):
 @given(st.randoms())
 @settings(max_examples=50, deadline=None)
 def test_functional_updates_preserve_wellformedness(rng):
-    graph, _, _, _ = _trial(rng, lambda rng: DIAMOND)
+    graph = _graph(rng)
     for snapshot in [graph, graph.without_entity(graph.entity_ids[0])]:  # the constructor raises on any violation
         SystemGraph(snapshot.model, {e: snapshot.type_of(e) for e in snapshot.entity_ids}, snapshot.edges)
 
@@ -223,12 +231,10 @@ def _answers(graph, conditions):
 @given(st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_updated_snapshots_equal_rebuilt_graphs(rng):
-    drawn = random_graph(rng)
-    model = drawn.model
-    entities = dict.fromkeys(drawn.entity_ids[:4], "node")  # at most four nodes keep the answers cheap
+    drawn = _graph(rng)  # its first four nodes and the edges among them keep the answers cheap
+    model, entities = drawn.model, dict.fromkeys(drawn.entity_ids[:4], "node")
     edges = {edge for edge in drawn.edges if edge[0] in entities and edge[1] in entities}
     graph = SystemGraph(model, entities, edges)
-    note(f"{len(entities)} nodes, edges {sorted(edges)}")
     conds = [_condition(rng, random_simple_condition) for _ in range(rng.randint(1, 2))]
     pool = [f"n{i}" for i in range(5)]
     history = []  # (snapshot, its answers) of every snapshot so far
