@@ -4,10 +4,14 @@ A condition compiles to a small nondeterministic automaton over edge
 conditions; satisfaction between two nodes is reachability in the
 product of the graph and the automaton, walked over a neighbour map
 built from the stored triples (``SystemGraph.edges``) and kept for the
-last snapshot queried.  It never reads the graph's lookups over the
-matcher's tables (``has_edge``, ``label_index``, ``edges_incident``) and
-shares no traversal code with :mod:`rebac.matching`; the two are kept
-separate on purpose so they can check each other differentially.
+last snapshot queried.  The automaton is built from the condition as
+written (Thompson, "Regular expression search algorithm", CACM 1968):
+reversal flips labels and the order of concatenation on the way down,
+so nothing is rewritten first.  The oracle never reads the graph's
+lookups over the matcher's tables (``has_edge``, ``label_index``,
+``edges_incident``) and shares no traversal code and no rewriting with
+:mod:`rebac.matching`; the two are kept separate on purpose so they can
+check each other differentially.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from .paths import (
     EdgeCondition,
     PathCondition,
     Plus,
+    Reverse,
     Star,
-    simplify,
 )
 
-__all__ = ["PathNfa", "compile_nfa", "oracle_satisfies", "satisfying_targets"]
+__all__ = ["PathNfa", "compile_nfa", "oracle_satisfies"]
 
 
 @dataclass(frozen=True)
@@ -40,42 +44,46 @@ class PathNfa:
 
 
 def compile_nfa(pc: PathCondition) -> PathNfa:
-    """Compile a condition (any form; canonicalized first) to an NFA.
+    """Compile a condition, as written, to an NFA.
 
     The construction is structural: a label becomes a single labelled
     transition, the empty condition an epsilon, concatenation chains
-    fragments, and one-or-more adds a loop back around its fragment, so
-    the state count stays within twice the condition size.
+    fragments, one-or-more adds a loop back around its fragment, and
+    reversal adds nothing: below it labels walk the other way and
+    concatenations chain right part first.  So the state count stays
+    within twice the condition size.
     """
-    pc = simplify(pc)
     counter = itertools.count()
     transitions: list[tuple[int, EdgeCondition | None, int]] = []
 
     def fresh() -> int:
         return next(counter)
 
-    def build(node: PathCondition, src: int, dst: int) -> None:
+    def build(node: PathCondition, src: int, dst: int, flip: bool) -> None:
         if isinstance(node, Diamond):
             transitions.append((src, None, dst))
         elif isinstance(node, EdgeCondition):
-            transitions.append((src, node, dst))
+            transitions.append((src, EdgeCondition(node.label, node.reversed ^ flip), dst))
+        elif isinstance(node, Reverse):
+            build(node.inner, src, dst, not flip)
         elif isinstance(node, Concat):
             mid = fresh()
-            build(node.left, src, mid)
-            build(node.right, mid, dst)
+            first, second = (node.right, node.left) if flip else (node.left, node.right)
+            build(first, src, mid, flip)
+            build(second, mid, dst, flip)
         elif isinstance(node, (Plus, Star)):
             enter, leave = fresh(), fresh()
             transitions.append((src, None, enter))
-            build(node.inner, enter, leave)
+            build(node.inner, enter, leave, flip)
             transitions.append((leave, None, dst))
             transitions.append((leave, None, enter))  # repeat
             if isinstance(node, Star):
                 transitions.append((src, None, dst))  # zero occurrences
         else:
-            raise TypeError(f"not a simple path condition: {node!r}")
+            raise TypeError(f"not a path condition: {node!r}")
 
     start, accept = fresh(), fresh()
-    build(pc, start, accept)
+    build(pc, start, accept, False)
     return PathNfa(start, accept, tuple(transitions), next(counter))
 
 
@@ -103,9 +111,8 @@ def _neighbour_map(graph: SystemGraph) -> dict[tuple[str, str, bool], list[str]]
     return step
 
 
-def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | None):
-    """Graph nodes paired with the accept state, reachable from
-    (source, start).  Stops early when ``target`` is among them."""
+def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str) -> bool:
+    """Whether (target, accept) is reachable from (source, start)."""
     epsilon: dict[int, list[int]] = {}
     labelled: dict[int, list[tuple[EdgeCondition, int]]] = {}
     for src, cond, dst in nfa.transitions:
@@ -115,15 +122,14 @@ def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | 
             labelled.setdefault(src, []).append((cond, dst))
 
     step = _neighbour_map(graph)
-    accepting: set[str] = set()
+    goal = (target, nfa.accept)
     seen = {(source, nfa.start)}
     stack = [(source, nfa.start)]
     while stack:
-        node, state = stack.pop()
-        if state == nfa.accept:
-            accepting.add(node)
-            if node == target:
-                return accepting
+        item = stack.pop()
+        if item == goal:
+            return True
+        node, state = item
         for nxt in epsilon.get(state, ()):
             item = (node, nxt)
             if item not in seen:
@@ -135,7 +141,7 @@ def _product_reach(graph: SystemGraph, source: str, nfa: PathNfa, target: str | 
                 if item not in seen:
                     seen.add(item)
                     stack.append(item)
-    return accepting
+    return False
 
 
 def oracle_satisfies(graph: SystemGraph, source: str, target: str, pc: PathCondition) -> bool:
@@ -143,13 +149,4 @@ def oracle_satisfies(graph: SystemGraph, source: str, target: str, pc: PathCondi
     for entity in (source, target):
         if not graph.has_entity(entity):
             raise UnknownEntityError(entity)
-    nfa = compile_nfa(pc)
-    return target in _product_reach(graph, source, nfa, target)
-
-
-def satisfying_targets(graph: SystemGraph, source: str, pc: PathCondition) -> frozenset[str]:
-    """All entities the condition connects ``source`` to."""
-    if not graph.has_entity(source):
-        raise UnknownEntityError(source)
-    nfa = compile_nfa(pc)
-    return frozenset(_product_reach(graph, source, nfa, None))
+    return _product_reach(graph, source, compile_nfa(pc), target)

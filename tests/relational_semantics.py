@@ -1,9 +1,10 @@
 """The paper's set semantics of path conditions: the (source, target)
 pairs a *raw* condition connects, with no simplification and no
-automaton, to check the matcher and the oracle against the definition."""
+automaton, to check the matcher, the oracle and the rewrites in
+:mod:`rebac.paths` against the definition."""
 
 from rebac import SystemGraph
-from rebac.paths import Concat, Diamond, EdgeCondition, PathCondition, Plus, Reverse
+from rebac.paths import Concat, Diamond, EdgeCondition, PathCondition, Plus, Reverse, Star
 
 
 def converse(pairs) -> frozenset:
@@ -19,8 +20,8 @@ def compose(first: frozenset, second: frozenset) -> frozenset:
 
 def relation(graph: SystemGraph, pc: PathCondition) -> frozenset[tuple[str, str]]:
     """``@`` is the identity, a label its stored edges (both ways for a
-    symmetric label), ``~`` the converse, ``.`` composition and ``+``
-    transitive closure."""
+    symmetric label), ``~`` the converse, ``.`` composition, ``+``
+    transitive closure and the internal ``*`` the identity joined with it."""
     if isinstance(pc, Diamond):
         return frozenset((v, v) for v in graph.entity_ids)
     if isinstance(pc, EdgeCondition):
@@ -37,4 +38,6 @@ def relation(graph: SystemGraph, pc: PathCondition) -> frozenset[tuple[str, str]
         while (grown := closure | compose(closure, step)) != closure:
             closure = grown
         return closure
+    if isinstance(pc, Star):
+        return relation(graph, Diamond()) | relation(graph, Plus(pc.inner))
     raise TypeError(f"not a raw path condition: {pc!r}")

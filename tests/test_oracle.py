@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+import rebac.paths
 from rebac import SystemGraph, SystemModel, TOP, UnknownEntityError, make_fixture, oracle_satisfies, parse
 from rebac.fixtures import FIXTURES
-from rebac.oracle import compile_nfa, satisfying_targets
+from rebac.oracle import compile_nfa
 from rebac.paths import DIAMOND, EdgeCondition
+
+from relational_semantics import relation
 
 
 def chain(labels_on_edges):
@@ -32,6 +35,17 @@ def test_state_count_stays_linear_in_condition_size():
     pc = parse("(a . b)+ . ~c . (a+ . c)+")
     nfa = compile_nfa(pc)
     assert nfa.state_count <= 2 * 12
+    # as written: nested reversal, '@' under '.' and under '+', and '~~'
+    raw = parse("~(a . ~(b . @)) . (@ . c)+ . ~~a . @+")
+    assert compile_nfa(raw).state_count <= 2 * 19  # 19 nodes in the raw tree
+
+
+def test_reversal_walks_a_concatenation_backwards():
+    g = chain(["a", "b"])  # n0 -a-> n1 -b-> n2
+    assert oracle_satisfies(g, "n2", "n0", parse("~(a . b)"))
+    assert not oracle_satisfies(g, "n2", "n0", parse("~(b . a)"))
+    nfa = compile_nfa(parse("~(a . b)"))
+    assert [cond for _, cond, _ in nfa.transitions] == [EdgeCondition("b", True), EdgeCondition("a", True)]
 
 
 def test_repetition_needs_at_least_one_occurrence():
@@ -75,16 +89,21 @@ def test_folder_tree_membership(fragment_graph):
 
 def test_satisfying_targets(five_node_graph):
     labels = five_node_graph.model.labels
-    assert satisfying_targets(five_node_graph, "s", parse("r1", labels)) == {"v1"}
-    assert satisfying_targets(five_node_graph, "v3", parse("r4", labels)) == {"o"}
-    assert satisfying_targets(five_node_graph, "o", parse("r4", labels)) == {"v3"}
+
+    def targets(source, text):
+        pc = parse(text, labels)
+        return {t for t in five_node_graph.entity_ids if oracle_satisfies(five_node_graph, source, t, pc)}
+
+    assert targets("s", "r1") == {"v1"}
+    assert targets("v3", "r4") == {"o"}
+    assert targets("o", "r4") == {"v3"}
 
 
 def test_unknown_entities_rejected(five_node_graph):
     with pytest.raises(UnknownEntityError):
         oracle_satisfies(five_node_graph, "s", "ghost", DIAMOND)
     with pytest.raises(UnknownEntityError):
-        satisfying_targets(five_node_graph, "ghost", DIAMOND)
+        oracle_satisfies(five_node_graph, "ghost", "s", DIAMOND)
 
 
 def test_oracle_reads_only_stored_triples(monkeypatch):
@@ -95,7 +114,6 @@ def test_oracle_reads_only_stored_triples(monkeypatch):
             for request in ws.requests:
                 for pc in conditions:
                     found.append(oracle_satisfies(ws.graph, request.subject, request.object, pc))
-                    found.append(satisfying_targets(ws.graph, request.subject, pc))
         return found
 
     unpatched = answers()
@@ -113,3 +131,19 @@ def test_oracle_answers_follow_the_snapshot_asked():
     wider = g.with_edge("n1", "n0", "r")
     pc = parse("~r")
     assert [oracle_satisfies(s, "n0", "n1", pc) for s in (g, wider, g, wider)] == [False, True, False, True]
+
+
+def test_oracle_does_no_rewriting(monkeypatch):
+    g = chain(["a", "b", "a", "b"])
+    conditions = [parse(text) for text in ("~(a . b)", "(@ . a)+", "~~a . @", "~(b . ~(@ . a)+)")]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle rewrote the condition")
+
+    rebac.paths.simplify.cache_clear()
+    monkeypatch.setattr(rebac.paths, "_simplify", forbidden)
+    for pc in conditions:
+        pairs = relation(g, pc)
+        for source in g.entity_ids:
+            for target in g.entity_ids:
+                assert oracle_satisfies(g, source, target, pc) is ((source, target) in pairs), (pc, source, target)
