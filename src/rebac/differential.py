@@ -4,7 +4,8 @@
 :func:`rebac.oracle.oracle_satisfies` on seeded random graphs and
 conditions; :func:`check_workspace` on a workspace's requests and rules,
 and its decisions with the oracle's.  The two deciders share no
-traversal code, so agreement over large runs is strong evidence for both.
+traversal code and no rewriting, so agreement over large runs is strong
+evidence for both, and for the matcher's :func:`rebac.paths.simplify`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,19 @@ def random_condition(rng: random.Random) -> PathCondition:
     return build(rng.randint(1, MAX_SIZE))
 
 
+def _converse(pc: PathCondition) -> PathCondition:
+    """``pc`` read backwards, built without ``simplify``: each label
+    flipped and each concatenation's order reversed, so that
+    ``Reverse(_converse(pc))`` means what ``pc`` means."""
+    if isinstance(pc, EdgeCondition):
+        return EdgeCondition(pc.label, not pc.reversed)
+    if isinstance(pc, Concat):
+        return Concat(_converse(pc.right), _converse(pc.left))
+    if isinstance(pc, Plus):
+        return Plus(_converse(pc.inner))
+    return pc  # the empty condition
+
+
 @dataclass
 class DifferentialReport:
     trials: int
@@ -117,8 +131,11 @@ class DifferentialReport:
 def run_differential(seed: int, trials: int) -> DifferentialReport:
     """Run seeded random instances through both deciders.
 
-    Stops recording after the first disagreement but keeps counting, so
-    the report always reflects the full run.
+    Each trial draws a simple condition and asks both deciders the
+    reversal of its converse: the same question, written so that the
+    matcher must simplify it back.  Stops recording after the first
+    disagreement but keeps counting, so the report always reflects the
+    full run.
     """
     rng = random.Random(seed)
     agreements = 0
@@ -126,7 +143,7 @@ def run_differential(seed: int, trials: int) -> DifferentialReport:
     started = time.perf_counter()
     for _ in range(trials):
         graph = random_graph(rng)
-        condition = random_simple_condition(rng)
+        condition = Reverse(_converse(random_simple_condition(rng)))
         nodes = graph.entity_ids
         source, target = rng.choice(nodes), rng.choice(nodes)
         got = match_path(graph, source, target, condition).found

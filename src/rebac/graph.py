@@ -4,36 +4,36 @@ A :class:`SystemModel` fixes the vocabulary: entity types, relationship
 labels, which labels are symmetric, and which (from-type, to-type,
 label) triples an edge may instantiate.  A :class:`SystemGraph` is an
 immutable snapshot of entities and labelled edges over such a model.
-Mutation helpers return new snapshots, so a graph in hand never changes
-and can be shared freely across threads.
+Its entities are fixed when it is constructed; adding or removing one
+edge returns a new snapshot, so a graph in hand never changes and can be
+shared freely across threads.
 
 Symmetric edges are direction-free: they are stored once, with the
 lexicographically smaller endpoint first, and match in both directions.
 
 What a snapshot holds: the model, the entity table (id to type, with its
 sorted id tuple computed once), its edge count, and a label index with
-two tables per node.  The first maps ``(label, direction)`` to the sorted
-tuple of neighbours reached that way, with direction ``out``, ``in`` or
-``sym``.  The second holds the node's comparison count
-``out + in + 2·sym``: what one scan of all its incident edges costs the
-matcher, since a symmetric edge is tried in both senses.  The index is
-the only copy of the edges: the constructor collapses the triples it is
-given into a transient set, validates that set, builds the index from it
-and drops it; ``edges`` and ``edges_incident`` are derived from the index
-on each call.
+one entry per node that has edges: its label table and its comparison
+count.  The table maps ``(label, direction)`` to the sorted tuple of
+neighbours reached that way, with direction ``out``, ``in`` or ``sym``.
+The count is ``out + in + 2·sym``: what one scan of all its incident
+edges costs the matcher, since a symmetric edge is tried in both senses.
+The index is the only copy of the edges: the constructor collapses the
+triples it is given into a transient set, validates that set, builds the
+index from it and drops it; ``edges`` and ``edges_incident`` are derived
+from the index on each call.
 
 What validation costs: one hashed test per entity and per stored edge,
 against the ``(from_type, to_type, label)`` triples the model admits.
 Only the offending entities and edges are sorted and described.
 
-What an update copies: :meth:`SystemGraph.with_edge`,
-:meth:`SystemGraph.without_edge` and :meth:`SystemGraph.without_entity`
-share every untouched node's tables.  They copy only the two top-level
-node maps and rebuild the tables of the nodes whose edges change, and
-``with_edge`` validates only the new edge, so an update never re-sorts
-or re-walks the graph.  Edge endpoints are the entity table's own key
-strings, so the index holds one string object per entity, not one per
-edge end.
+What an update copies: :meth:`SystemGraph.with_edge` and
+:meth:`SystemGraph.without_edge` share the model, the entity table and
+every untouched node's entry.  They copy only the top-level node map and
+rebuild the entries of the edge's ends, and ``with_edge`` validates only
+the new edge, so an update never re-sorts or re-walks the graph.  Edge
+endpoints are the entity table's own key strings, so the index holds one
+string object per entity, not one per edge end.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from sys import intern
+from types import MappingProxyType
 from typing import Iterable, Literal
 
 __all__ = [
@@ -81,9 +82,12 @@ DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
 _OPPOSITE = {"out": "in", "in": "out", "sym": "sym"}
 
 
-# node -> (label, direction) -> sorted neighbours, and node -> comparison count
+# (label, direction) -> sorted neighbours, for one node
 NodeTable = Mapping[tuple[str, Direction], tuple[str, ...]]
-LabelIndex = tuple[Mapping[str, NodeTable], Mapping[str, int]]
+# node -> (its label table, its comparison count)
+LabelIndex = Mapping[str, tuple[NodeTable, int]]
+
+NO_EDGES = (MappingProxyType({}), 0)  # the index entry of every node without edges
 
 
 @dataclass(frozen=True)
@@ -156,13 +160,8 @@ class SystemGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_edge_count", edge_count)
 
-    def _derived(self, types, ids, index, edge_count) -> "SystemGraph":
-        graph = object.__new__(SystemGraph)
-        graph._init(self.model, types, ids, index, edge_count)
-        return graph
-
     def __setattr__(self, name, value):
-        raise AttributeError("SystemGraph is immutable; use with_/without_ helpers")
+        raise AttributeError("SystemGraph is immutable; use with_edge/without_edge")
 
     # -- lookups ---------------------------------------------------------
 
@@ -180,7 +179,7 @@ class SystemGraph:
         Derived from the label index on each call."""
         return frozenset(
             (node, other, label)
-            for node, table in self._index[0].items()
+            for node, (table, _) in self._index.items()
             for (label, direction), others in table.items()
             if direction != "in"
             for other in others
@@ -214,7 +213,7 @@ class SystemGraph:
         (from, to, label) and (to, from, label) triples are independent.
         """
         key = (label, "sym" if label in self.model.symmetric else "out")
-        return to_id in self._index[0].get(from_id, {}).get(key, ())
+        return to_id in self._index.get(from_id, NO_EDGES)[0].get(key, ())
 
     def edges_incident(self, entity: str) -> tuple[tuple[str, str, Direction], ...]:
         """Edges touching ``entity`` as ``(neighbor, label, direction)``.
@@ -226,29 +225,18 @@ class SystemGraph:
         """
         if entity not in self._types:
             raise UnknownEntityError(entity)
-        table = self._index[0].get(entity, {})
+        table = self._index.get(entity, NO_EDGES)[0]
         incident = [(other, label, direction) for (label, direction), others in table.items() for other in others]
         return tuple(sorted(incident, key=lambda edge: (DIRECTION_RANK[edge[2]], edge)))
 
     def label_index(self) -> LabelIndex:
-        """``(neighbours, comparisons)``: per node, its ``(label,
-        direction) -> sorted neighbours`` table and its comparison count
-        ``out + in + 2·sym``.  Nodes without edges are absent from both.
-        Snapshots share these tables; callers must not change them."""
+        """``node -> (table, count)``: the node's ``(label, direction) ->
+        sorted neighbours`` table and its comparison count ``out + in +
+        2·sym``.  Nodes without edges are absent.  Snapshots share these
+        entries; callers must not change them."""
         return self._index
 
     # -- functional updates ----------------------------------------------
-
-    def with_entity(self, entity: str, type_name: str) -> "SystemGraph":
-        """New snapshot with the entity added; rejects ill-formed additions."""
-        problems = [f"entity {entity!r} already exists"] if entity in self._types else []
-        problems += _entity_problems(self.model, entity, type_name)
-        if problems:
-            raise GraphValidationError(problems)
-        entities = dict(self._types)
-        entities[intern(entity)] = intern(type_name)
-        # a new entity has no edges, so the index carries over
-        return self._derived(entities, None, self._index, self._edge_count)
 
     def with_edge(self, from_id: str, to_id: str, label: str) -> "SystemGraph":
         """New snapshot with the edge added; rejects ill-formed additions."""
@@ -269,84 +257,61 @@ class SystemGraph:
         ends = [(from_id, (label, direction), to_id)]
         if from_id != to_id or direction == "out":  # a symmetric loop is one incident edge
             ends.append((to_id, (label, _OPPOSITE[direction]), from_id))
-        neighbours, comparisons = dict(self._index[0]), dict(self._index[1])
-        _edit(neighbours, comparisons, ends, add)
-        count = self._edge_count + (1 if add else -1)
-        return self._derived(self._types, self._ids, (neighbours, comparisons), count)
-
-    def without_entity(self, entity: str) -> "SystemGraph":
-        """New snapshot with the entity and its incident edges removed."""
-        if entity not in self._types:
-            raise UnknownEntityError(entity)
-        entities = dict(self._types)
-        del entities[entity]
-        neighbours, comparisons = dict(self._index[0]), dict(self._index[1])
-        table = neighbours.pop(entity, {})
-        comparisons.pop(entity, None)
-        # each neighbour loses its entries for the entity; the entity's own tables go whole
-        ends = [
-            (other, (label, _OPPOSITE[direction]), entity)
-            for (label, direction), others in table.items()
-            for other in others
-            if other != entity
-        ]
-        _edit(neighbours, comparisons, ends, add=False)
-        # a directed loop is listed under both "out" and "in"; count it once
-        removed = sum(len(others) - (direction == "in" and entity in others) for (_, direction), others in table.items())
-        return self._derived(entities, None, (neighbours, comparisons), self._edge_count - removed)
+        index = dict(self._index)
+        _edit(index, ends, add)
+        graph = object.__new__(SystemGraph)
+        graph._init(self.model, self._types, self._ids, index, self._edge_count + (1 if add else -1))
+        return graph
 
     def __repr__(self) -> str:
         return f"SystemGraph({len(self._types)} entities, {self._edge_count} edges)"
 
 
-def _edit(neighbours: dict, comparisons: dict, ends, add: bool) -> None:
-    """Add or remove each ``(node, key, other)`` entry of ``ends`` in the
-    top-level maps given, which the caller has copied.  Each changed
-    node's table is copied first, so snapshots that share the old table
-    keep it."""
+def _edit(index: dict, ends, add: bool) -> None:
+    """For each ``(node, key, other)`` of ``ends``, add or remove ``other``
+    under ``key`` in ``node``'s entry of the top-level map given, which
+    the caller has copied.  Each changed node's table is copied first, so
+    snapshots that share the old entry keep it."""
     for node, key, other in ends:
-        weight = 2 if key[1] == "sym" else 1
-        table = dict(neighbours.get(node, {}))
+        table, count = index.get(node, NO_EDGES)
+        table = dict(table)
         others = table.get(key, ())
+        weight = 2 if key[1] == "sym" else 1
         if add:
             i = bisect_left(others, other)
             table[key] = others[:i] + (other,) + others[i:]
-            comparisons[node] = comparisons.get(node, 0) + weight
+            count += weight
         else:
             others = tuple(o for o in others if o != other)
             if others:
                 table[key] = others
             else:
                 del table[key]
-            comparisons[node] -= weight
+            count -= weight
         if table:
-            neighbours[node] = table
+            index[node] = (table, count)
         else:
-            del neighbours[node], comparisons[node]
+            del index[node]
 
 
 def _build_index(symmetric, edges) -> LabelIndex:
-    keys = {}  # label -> (key at the from end, key at the to end, weight), one key object each
+    keys = {}  # label -> (key at the from end, key at the to end), one key object each
     alone: dict[str, tuple[str]] = {}  # one 1-tuple per entity, shared by every table it is alone in
-    neighbours: dict[str, dict] = {}
-    comparisons: dict[str, int] = {}
+    index: dict = {}  # node -> its table, until the last loop pairs the table with its count
     for from_id, to_id, label in edges:
         ends = keys.get(label)
         if ends is None:
-            ends = ((label, "sym"),) * 2 + (2,) if label in symmetric else ((label, "out"), (label, "in"), 1)
+            ends = ((label, "sym"),) * 2 if label in symmetric else ((label, "out"), (label, "in"))
             keys[label] = ends
-        from_key, to_key, weight = ends
+        from_key, to_key = ends
         if from_id == to_id and from_key is to_key:
             ends = ((from_id, from_key, to_id),)  # a symmetric loop is one incident edge
         else:
             ends = ((from_id, from_key, to_id), (to_id, to_key, from_id))
         for node, key, other in ends:
-            table = neighbours.get(node)
+            table = index.get(node)
             if table is None:
-                table = neighbours[node] = {}
-                comparisons[node] = weight
-            else:
-                comparisons[node] += weight
+                table = index[node] = {}
             # a key holds a shared 1-tuple until its second neighbour makes it a list
             others = table.get(key)
             if others is None:
@@ -358,12 +323,15 @@ def _build_index(symmetric, edges) -> LabelIndex:
                 table[key] = [others[0], other]
             else:
                 others.append(other)
-    for table in neighbours.values():
+    for node, table in index.items():
+        count = 0
         for key, others in table.items():
             if type(others) is list:
                 others.sort()
-                table[key] = tuple(others)
-    return neighbours, comparisons
+                table[key] = others = tuple(others)
+            count += len(others) * (2 if key[1] == "sym" else 1)
+        index[node] = (table, count)  # replacing a value keeps the iteration valid
+    return index
 
 
 def _edge_problems(model, types, from_id, to_id, label) -> list[str]:
@@ -406,21 +374,15 @@ def _admissible(model: SystemModel) -> set[tuple[str, str, str]]:
     return admissible
 
 
-def _entity_problems(model: SystemModel, entity: str, type_name: str) -> list[str]:
-    problems = []
-    if type_name not in model.types:
-        problems.append(f"entity {entity!r} has unknown type {type_name!r}")
-    if entity == "*":
-        problems.append("entity id '*' is reserved for the wildcard object")
-    return problems
-
-
 def _graph_problems(model: SystemModel, types: Mapping[str, str], edges) -> list[str]:
     """Violations of an entity table and its stored triples under the
     model: offending entities in id order, then offending edges in order."""
     problems, known_types = [], model.types
     for entity in sorted(e for e, t in types.items() if t not in known_types or e == "*"):
-        problems.extend(_entity_problems(model, entity, types[entity]))
+        if types[entity] not in known_types:
+            problems.append(f"entity {entity!r} has unknown type {types[entity]!r}")
+        if entity == "*":
+            problems.append("entity id '*' is reserved for the wildcard object")
     admissible, type_of = _admissible(model), types.get
     offending = [(f, t, l) for f, t, l in edges if (type_of(f), type_of(t), l) not in admissible]
     for from_id, to_id, label in sorted(offending):

@@ -28,10 +28,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import DIRECTION_RANK, SystemGraph, UnknownEntityError
+from .graph import DIRECTION_RANK, NO_EDGES, SystemGraph, UnknownEntityError
 from .paths import (
     DIAMOND,
     Concat,
@@ -140,7 +139,6 @@ class MatchResult(NamedTuple):
 
 
 _EMPTY = 0  # the empty condition's state number
-_NO_EDGES = MappingProxyType({})  # the label table of every node without edges
 
 
 class _States:
@@ -245,7 +243,7 @@ def match_path(
         return MatchResult(source == target, MatchMetrics())
 
     bound = work_bound(graph, pi)
-    neighbours, comparisons = graph.label_index()
+    index = graph.label_index()
     states = _States(graph.model.symmetric)
     residuals, branches, moves, seen = states.residuals, states.branches, states.moves, states.seen
     start = states.number(pi)
@@ -282,8 +280,7 @@ def match_path(
                     nodes.add(node)
                     active.append(branch)
 
-        table = neighbours.get(node, _NO_EDGES)
-        cost = comparisons.get(node, 0)
+        table, cost = index.get(node, NO_EDGES)
         before = len(queue)
         for branch in active:
             key, rest = moves[branch] or states.move(branch)

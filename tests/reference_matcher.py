@@ -62,7 +62,7 @@ def reference_match_path(
         return MatchResult(source == target, metrics)
 
     bound = work_bound(graph, pi)
-    neighbours, comparisons = graph.label_index()
+    index = graph.label_index()
     seen: set[tuple[str, PathCondition]] = {(source, pi)}
     queue: deque[tuple[str, PathCondition]] = deque([(source, pi)])
     metrics.queue_peak = 1
@@ -92,7 +92,7 @@ def reference_match_path(
                 seen.add((node, branch))
                 active.append(branch)
 
-        table = neighbours.get(node, {})
+        table, cost = index.get(node, ({}, 0))
         enqueued = 0
         for branch in active:
             want = head(branch)
@@ -120,7 +120,7 @@ def reference_match_path(
                             seen.add(item)
                             queue.append(item)
                             enqueued += 1
-            metrics.edges_considered += comparisons.get(node, 0)
+            metrics.edges_considered += cost
         if len(queue) > metrics.queue_peak:
             metrics.queue_peak = len(queue)
         if trace:

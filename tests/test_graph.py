@@ -160,37 +160,11 @@ def test_with_edge_validates_eagerly(fragment_graph):
         fragment_graph.with_edge("U1", "U1", "Supervises")
     with pytest.raises(GraphValidationError):
         fragment_graph.with_edge("U1", "P1", "nope")
-    bigger = fragment_graph.with_entity("U2", "user").with_edge("U2", "P1", "Participant-of")
+    larger = SystemGraph(fragment_graph.model, _entities(fragment_graph) | {"U2": "user"}, fragment_graph.edges)
+    bigger = larger.with_edge("U2", "P1", "Participant-of")
     assert bigger.has_edge("U2", "P1", "Participant-of")
     # original snapshot unchanged
-    assert not fragment_graph.has_entity("U2")
-
-
-def test_with_entity_rejects_duplicates_and_unknown_types(fragment_graph):
-    with pytest.raises(GraphValidationError):
-        fragment_graph.with_entity("U1", "user")
-    with pytest.raises(GraphValidationError):
-        fragment_graph.with_entity("U9", "martian")
-
-
-def test_with_entity_rejects_the_wildcard_id(fragment_graph):
-    # the constructor rejects this id too
-    with pytest.raises(GraphValidationError) as err:
-        fragment_graph.with_entity("*", "user")
-    assert err.value.violations == ["entity id '*' is reserved for the wildcard object"]
-    with pytest.raises(GraphValidationError) as err:
-        fragment_graph.with_entity("*", "martian")
-    assert err.value.violations == [
-        "entity '*' has unknown type 'martian'",
-        "entity id '*' is reserved for the wildcard object",
-    ]
-
-
-def test_without_entity_cascades_incident_edges(fragment_graph):
-    g = fragment_graph.without_entity("F2")
-    assert not g.has_entity("F2")
-    assert _violations(g.model, _entities(g), g.edges) == []
-    assert not any("F2" in (f, t) for f, t, _ in g.edges)
+    assert not larger.has_edge("U2", "P1", "Participant-of")
 
 
 def test_without_edge_never_breaks_wellformedness(fragment_graph):
@@ -291,27 +265,27 @@ DIRECTION_RANK = {"out": 0, "in": 1, "sym": 2}
 
 
 def _expected_index(triples, symmetric):
-    """Stored edges, per-node ``(label, direction) -> sorted neighbours``
-    tables and comparison counts, from raw triples."""
+    """Stored edges and the label index, ``node -> (table, count)`` with
+    ``(label, direction) -> sorted neighbours`` tables and comparison
+    counts, from raw triples."""
     stored = {(min(u, v), max(u, v), l) if l in symmetric else (u, v, l) for u, v, l in triples}
     sets: dict[str, dict] = {}
     for u, v, label in stored:
         ends = [(u, "sym", v), (v, "sym", u)] if label in symmetric else [(u, "out", v), (v, "in", u)]
         for node, direction, other in ends:
             sets.setdefault(node, {}).setdefault((label, direction), set()).add(other)
-    tables = {node: {key: tuple(sorted(others)) for key, others in table.items()} for node, table in sets.items()}
-    comparisons = {
-        node: sum(len(others) * (2 if direction == "sym" else 1) for (_, direction), others in table.items())
-        for node, table in tables.items()
-    }
-    return stored, tables, comparisons
+    index = {}
+    for node, table in sets.items():
+        count = sum(len(others) * (2 if direction == "sym" else 1) for (_, direction), others in table.items())
+        index[node] = ({key: tuple(sorted(others)) for key, others in table.items()}, count)
+    return stored, index
 
 
-def _incident(tables, node):
+def _incident(index, node):
     """``node``'s incident edges as ``(neighbour, label, direction)`` in
     incident order: ``out``, then ``in``, then ``sym``, each group by
     (neighbour, label).  A symmetric edge, a loop too, appears once."""
-    incident = [(other, label, way) for (label, way), others in tables.get(node, {}).items() for other in others]
+    incident = [(other, label, way) for (label, way), others in index.get(node, ({}, 0))[0].items() for other in others]
     return sorted(incident, key=lambda edge: (DIRECTION_RANK[edge[2]], edge[0], edge[1]))
 
 
@@ -335,12 +309,12 @@ def _raw_triples(rng) -> tuple[SystemGraph, list]:
 def test_fresh_label_index_matches_tables_built_from_raw_triples(rng):
     graph, triples = _raw_triples(rng)
     nodes, symmetric = graph.entity_ids, graph.model.symmetric
-    stored, tables, comparisons = _expected_index(triples, symmetric)
-    assert graph.label_index() == (tables, comparisons)
+    stored, index = _expected_index(triples, symmetric)
+    assert graph.label_index() == index
     assert graph.edges == stored
     assert graph.edge_count == len(stored)
     for u in nodes:
-        assert graph.edges_incident(u) == tuple(_incident(tables, u))
+        assert graph.edges_incident(u) == tuple(_incident(index, u))
         for v in nodes:
             for label in graph.model.labels:
                 expected = (min(u, v), max(u, v), label) if label in symmetric else (u, v, label)
@@ -356,9 +330,9 @@ def test_found_exit_recount_follows_incident_order(rng):
     and including the edge that hit."""
     graph, triples = _raw_triples(rng)
     nodes, symmetric = graph.entity_ids, graph.model.symmetric
-    _, tables, _ = _expected_index(triples, symmetric)
+    _, index = _expected_index(triples, symmetric)
     for u in nodes:
-        incident = _incident(tables, u)
+        incident = _incident(index, u)
         for v in nodes:
             for label in graph.model.labels:
                 for reversed_ in (False, True):
@@ -370,23 +344,3 @@ def test_found_exit_recount_follows_incident_order(rng):
                         scanned = incident[: hit + 1]
                         expected = sum(2 if edge[2] == "sym" else 1 for edge in scanned)
                         assert result.metrics.edges_considered == expected
-
-
-@given(st.randoms())
-@settings(max_examples=300, deadline=None)
-def test_without_entity_shares_untouched_tables_and_equals_a_rebuilt_graph(rng):
-    graph, triples = _raw_triples(rng)
-    entity = rng.choice(graph.entity_ids)
-    note(f"without_entity({entity!r})")
-    smaller = graph.without_entity(entity)
-    rest = dict.fromkeys((n for n in graph.entity_ids if n != entity), "node")
-    rebuilt = SystemGraph(graph.model, rest, [(u, v, label) for u, v, label in triples if entity not in (u, v)])
-    assert smaller.label_index() == rebuilt.label_index()
-    assert smaller.edges == rebuilt.edges
-    assert smaller.edge_count == rebuilt.edge_count
-    assert smaller.entity_ids == rebuilt.entity_ids
-    neighbours = graph.label_index()[0]
-    adjacent = {other for others in neighbours.get(entity, {}).values() for other in others}
-    for node, table in smaller.label_index()[0].items():
-        if node not in adjacent:
-            assert table is neighbours[node]

@@ -171,8 +171,7 @@ def test_numbered_search_repeats_the_deep_graph_rules_with_a_symmetric_label():
     graph, source, target = _large_graph()
     model = SystemModel(["node"], graph.model.labels, symmetric=["e"], permissible=graph.model.permissible)
     graph = SystemGraph(model, dict.fromkeys(graph.entity_ids, "node"), graph.edges)
-    neighbours = graph.label_index()[0]
-    subjects = sorted(node for node, table in neighbours.items() if ("a", "out") in table)
+    subjects = sorted(node for node, (table, _) in graph.label_index().items() if ("a", "out") in table)
     rng = random.Random(19)
     pairs = [(source, target)] + [(rng.choice(subjects), rng.choice(graph.entity_ids)) for _ in range(49)]
     found, symmetric_exits = 0, 0
@@ -185,9 +184,7 @@ def test_numbered_search_repeats_the_deep_graph_rules_with_a_symmetric_label():
 
 
 def _plain(index):
-    neighbours, comparisons = index
-    tables = {node: {key: list(others) for key, others in table.items()} for node, table in neighbours.items()}
-    return tables, dict(comparisons)
+    return {node: ({key: list(o) for key, o in table.items()}, count) for node, (table, count) in index.items()}
 
 
 def test_searches_leave_the_label_tables_unchanged():

@@ -16,7 +16,7 @@ from rebac import (
     simplify,
     work_bound,
 )
-from rebac.differential import DEFAULT_LABELS, random_condition, random_graph, random_simple_condition
+from rebac.differential import DEFAULT_LABELS, _converse, random_condition, random_graph, random_simple_condition
 from rebac.matching import match_principals
 from rebac.paths import (
     DIAMOND,
@@ -123,6 +123,15 @@ def test_head_suffix_recomposition(rng):
 
 
 @given(st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_reversed_converse_means_the_drawn_condition(rng):
+    # run_differential asks both deciders this raw form of its drawn condition
+    graph = _graph(rng)
+    pc = _condition(rng, random_simple_condition)
+    assert relation(graph, Reverse(_converse(pc))) == relation(graph, pc)
+
+
+@given(st.randoms())
 @settings(max_examples=200, deadline=None)
 def test_reversal_swaps_source_and_target(rng):
     graph, pc, source, target = _trial(rng)
@@ -210,7 +219,10 @@ def test_length_and_plus_count_survive_simplification(rng):
 @settings(max_examples=50, deadline=None)
 def test_functional_updates_preserve_wellformedness(rng):
     graph = _graph(rng)
-    for snapshot in [graph, graph.without_entity(graph.entity_ids[0])]:  # the constructor raises on any violation
+    snapshots = [graph]
+    if graph.edges:  # a present edge, so that the update makes a new snapshot
+        snapshots.append(graph.without_edge(*rng.choice(sorted(graph.edges))))
+    for snapshot in snapshots:  # the constructor raises on any violation
         SystemGraph(snapshot.model, {e: snapshot.type_of(e) for e in snapshot.entity_ids}, snapshot.edges)
 
 
@@ -218,6 +230,7 @@ def _answers(graph, conditions):
     """Everything a snapshot answers, for comparing two snapshots."""
     nodes = graph.entity_ids
     return (
+        {node: (dict(table), count) for node, (table, count) in graph.label_index().items()},
         graph.edges,
         graph.edge_count,
         [graph.edges_incident(v) for v in nodes],
@@ -234,40 +247,27 @@ def test_updated_snapshots_equal_rebuilt_graphs(rng):
     edges = {edge for edge in drawn.edges if edge[0] in entities and edge[1] in entities}
     graph = SystemGraph(model, entities, edges)
     conds = [_condition(rng, random_simple_condition) for _ in range(rng.randint(1, 2))]
-    pool = [f"n{i}" for i in range(5)]
     history = []  # (snapshot, its answers) of every snapshot so far
     if rng.random() < 0.5:  # index the first snapshot before updating it
         history.append((graph, _answers(graph, conds)))
     for _ in range(rng.randint(1, 6)):
-        kind = rng.choice(["with_edge", "without_edge", "with_entity", "without_entity"])
-        if kind in ("with_edge", "without_edge"):
-            if edges and rng.random() < 0.5:  # an edge that is present
-                u, v, label = rng.choice(sorted(edges))
-                if label in model.symmetric and rng.random() < 0.5:
-                    u, v = v, u
-            else:
-                nodes = sorted(entities)
-                u, v, label = rng.choice(nodes), rng.choice(nodes), rng.choice(sorted(model.labels))
-            update = (u, v, label)
-            stored = (min(u, v), max(u, v), label) if label in model.symmetric else update
-            (edges.add if kind == "with_edge" else edges.discard)(stored)
-        elif kind == "with_entity":
-            absent = sorted(set(pool) - set(entities))
-            if not absent:
-                continue
-            update = (rng.choice(absent), "node")
-            entities[update[0]] = "node"
+        kind = rng.choice(["with_edge", "without_edge"])
+        if edges and rng.random() < 0.5:  # an edge that is present
+            u, v, label = rng.choice(sorted(edges))
+            if label in model.symmetric and rng.random() < 0.5:
+                u, v = v, u
         else:
-            if len(entities) == 1:
-                continue
-            entity = rng.choice(sorted(entities))
-            update = (entity,)
-            del entities[entity]
-            edges = {e for e in edges if entity not in e[:2]}
-        note(f"{kind}{update}")
-        graph = getattr(graph, kind)(*update)
+            nodes = sorted(entities)
+            u, v, label = rng.choice(nodes), rng.choice(nodes), rng.choice(sorted(model.labels))
+        stored = (min(u, v), max(u, v), label) if label in model.symmetric else (u, v, label)
+        (edges.add if kind == "with_edge" else edges.discard)(stored)
+        note(f"{kind}{(u, v, label)}")
+        before = graph.label_index()
+        graph = getattr(graph, kind)(u, v, label)
         answers = _answers(graph, conds)
         assert answers == _answers(SystemGraph(model, entities, edges), conds)
+        # every node but the edge's ends keeps its entry object
+        assert all(entry is before[node] for node, entry in graph.label_index().items() if node not in (u, v))
         history.append((graph, answers))
     # no update changed a table that an earlier snapshot shares
     for snapshot, answers in history:
