@@ -25,9 +25,7 @@ def build_rows(workspace):
         for rule in workspace.system.principal_rules:
             if rule.condition is TOP:
                 continue
-            found, metrics = match_path(
-                workspace.graph, request.subject, request.object, rule.condition
-            )
+            found, metrics = match_path(workspace.graph, request.subject, request.object, rule)
             rows.append(
                 (
                     rule.text,

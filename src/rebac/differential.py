@@ -162,12 +162,13 @@ def check_workspace(workspace: Workspace) -> DifferentialReport:
     """Check each request of a workspace against the oracle.
 
     Each (request, rule) pair with a path condition is one check of
-    ``match_path`` against ``oracle_satisfies``.  Each request is one
-    more check: its principals and outcome as decided from the oracle's
-    answers against those of :func:`rebac.pdp.evaluate`.  The oracle's
-    principals are the principals of the rules it satisfies (TOP always
-    holds) in rule order: the first one under FirstMatch, each first
-    occurrence under AllMatch.  Stage two of that decision reuses
+    ``match_path`` on the rule, the prepared search ``evaluate`` runs,
+    against ``oracle_satisfies`` on the condition as written.  Each
+    request is one more check: its principals and outcome as decided from
+    the oracle's answers against those of :func:`rebac.pdp.evaluate`.  The
+    oracle's principals are the principals of the rules it satisfies (TOP
+    always holds) in rule order: the first one under FirstMatch, each
+    first occurrence under AllMatch.  Stage two of that decision reuses
     ``possible_decisions``, ``resolve`` and ``apply_defaults``, so it
     checks how ``evaluate`` composes them with principal matching.
     """
@@ -180,7 +181,7 @@ def check_workspace(workspace: Workspace) -> DifferentialReport:
         for rule in system.principal_rules:
             holds = rule.condition is TOP
             if not holds:
-                got = match_path(graph, subject, object_, rule.condition).found
+                got = match_path(graph, subject, object_, rule).found
                 holds = oracle_satisfies(graph, subject, object_, rule.condition)
                 checks.append((got, holds, f"({subject!r}, {object_!r}) under {rule.text}"))
             if holds:

@@ -17,9 +17,15 @@ suffix to satisfy from the neighbour.  The node sets' total size, the
 number of (node, state number) pairs seen, is bounded by
 :func:`work_bound`, |V| * (length + 2 * plus_count + 1).
 
+A search starts from the condition's simple form and checks itself
+against that bound.  Given a bare condition, :func:`match_path` works
+both out when it arrives; given a :class:`PrincipalMatchingRule`, it
+reads them from the rule, which works them out once, when it is built.
+
 :func:`match_principals` runs an ordered rule list against a request
 and collects the principals of matching rules, either stopping at the
-first match or evaluating every rule.
+first match or evaluating every rule; it passes each rule itself to
+:func:`match_path`.
 """
 
 from __future__ import annotations
@@ -93,24 +99,34 @@ class PolicyError(ValueError):
 class PrincipalMatchingRule:
     """Pairs a path condition (or TOP) with the principal it identifies.
 
-    ``text`` (the rendered condition, or "TOP") and ``has_star`` do not
-    depend on any request, so they are computed once, here.  Building
-    never raises for a condition that :func:`validate_policy` rejects.
+    ``text`` (the rendered condition, or "TOP"), ``has_star``, ``simple``
+    (the condition's simple form, or None for TOP) and ``bound_factor``
+    (``length + 2 * plus_count + 1`` of the condition, so that
+    ``len(graph) * bound_factor == work_bound(graph, condition)``; 0 for
+    TOP) do not depend on any request, so they are computed once, here,
+    and :func:`match_path` reads the last two.  Building never raises for
+    a condition that :func:`validate_policy` rejects.
     """
 
     condition: PathCondition | _Top
     principal: str
     text: str = field(init=False, repr=False, compare=False)
     has_star: bool = field(init=False, repr=False, compare=False)
+    simple: PathCondition | None = field(init=False, repr=False, compare=False)
+    bound_factor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.condition, PathCondition):
             has_star = _contains_star(self.condition)
             text = render(self.condition)  # a '*' rule fails validation
+            simple = simplify(self.condition)
+            factor = _bound_factor(simple)
         else:
-            has_star, text = False, repr(self.condition)
+            has_star, text, simple, factor = False, repr(self.condition), None, 0
         object.__setattr__(self, "has_star", has_star)
         object.__setattr__(self, "text", text)
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "bound_factor", factor)
 
 
 @dataclass
@@ -214,18 +230,26 @@ def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
     is.  ``plus_count`` counts both, so there are at most
     length + 2 * plus_count + 1 residuals, each paired with a node.
     """
-    return len(graph) * (length(condition) + 2 * plus_count(condition) + 1)
+    return len(graph) * _bound_factor(condition)
+
+
+def _bound_factor(condition: PathCondition) -> int:
+    return length(condition) + 2 * plus_count(condition) + 1
 
 
 def match_path(
     graph: SystemGraph,
     source: str,
     target: str,
-    condition: PathCondition,
+    condition: PathCondition | PrincipalMatchingRule,
     *,
     trace: Callable[[str], None] | None = None,
 ) -> MatchResult:
     """Decide whether ``condition`` connects ``source`` to ``target``.
+
+    ``condition`` is a path condition, or a rule whose prepared simple
+    form and bound factor are searched; a TOP rule has no path to match
+    and raises :class:`PolicyError`.
 
     Deterministic: work items are processed first-in first-out and each
     node's neighbours are crossed in the order of its incident edges
@@ -237,12 +261,18 @@ def match_path(
         if not graph.has_entity(entity):
             raise UnknownEntityError(entity)
 
-    pi = simplify(condition)
+    if isinstance(condition, PrincipalMatchingRule):
+        pi, factor = condition.simple, condition.bound_factor
+        if pi is None:
+            raise PolicyError(f"rule for {condition.principal!r}: {condition.text} is not a path condition")
+    else:
+        pi = simplify(condition)
+        factor = _bound_factor(pi)
     if pi == DIAMOND:
         # the empty condition needs no traversal at all
         return MatchResult(source == target, MatchMetrics())
 
-    bound = work_bound(graph, pi)
+    bound = len(graph) * factor
     index = graph.label_index()
     states = _States(graph.model.symmetric)
     residuals, branches, moves, seen = states.residuals, states.branches, states.moves, states.seen
@@ -390,7 +420,7 @@ def match_principals(
             rule_trace = None
             if trace:
                 rule_trace = lambda line, _n=number: trace(f"rule {_n}: {line}")
-            found, metrics = match_path(graph, subject, object_, rule.condition, trace=rule_trace)
+            found, metrics = match_path(graph, subject, object_, rule, trace=rule_trace)
         evaluations.append(RuleEvaluation(number, rule.principal, rule.text, found, metrics))
         if found:
             if rule.principal not in principals:

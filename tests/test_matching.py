@@ -12,9 +12,11 @@ from rebac import (
     SystemModel,
     TOP,
     UnknownEntityError,
+    make_fixture,
     match_path,
     parse,
     render,
+    simplify,
     work_bound,
 )
 from rebac.differential import random_condition, random_graph, random_simple_condition, run_differential
@@ -220,6 +222,54 @@ def test_residuals_number_at_most_length_plus_twice_plus_count_plus_one():
         found, metrics = match_path(loops, "x", "y", pc)
         assert not found
         assert metrics.pairs_seen <= length(pc) + 2 * plus_count(pc) + 1, pc
+
+
+def _rule_searches_like_its_condition(graph, source, target, rule) -> None:
+    # found, all four metrics and every trace line
+    lines, bare_lines = [], []
+    result = match_path(graph, source, target, rule, trace=lines.append)
+    bare = match_path(graph, source, target, rule.condition, trace=bare_lines.append)
+    assert (result, lines) == (bare, bare_lines), (source, target, rule)
+    assert rule.simple == simplify(rule.condition)
+    assert len(graph) * rule.bound_factor == work_bound(graph, rule.condition)
+
+
+@pytest.mark.parametrize("name", ["corporate", "rbac", "unix"])
+def test_rule_searches_like_its_condition_on_the_fixtures(name):
+    workspace = make_fixture(name)
+    rules = [rule for rule in workspace.system.principal_rules if rule.condition is not TOP]
+    assert rules and workspace.requests
+    for rule in rules:
+        for request in workspace.requests:
+            _rule_searches_like_its_condition(workspace.graph, request.subject, request.object, rule)
+
+
+def test_rule_searches_like_its_condition_on_random_and_deepest_conditions():
+    rng = random.Random(23)
+    for _ in range(2000):
+        graph = random_graph(rng)
+        nodes = graph.entity_ids
+        rule = PrincipalMatchingRule(random_condition(rng), "p")
+        _rule_searches_like_its_condition(graph, rng.choice(nodes), rng.choice(nodes), rule)
+    model = random_graph(rng).model
+    loops = SystemGraph(model, {"x": "node", "y": "node"}, [("x", "x", label) for label in model.labels])
+    for text in DEPTH_FORMS:
+        for target in ("x", "y"):
+            _rule_searches_like_its_condition(loops, "x", target, PrincipalMatchingRule(parse(text), "p"))
+
+
+def test_star_rule_builds_and_searches_like_its_condition():
+    # validate_policy rejects it, but building must not raise
+    g = small(["x", "y"], [("x", "y", "a"), ("y", "x", "b"), ("x", "x", "b")])
+    rule = PrincipalMatchingRule(Concat(Star(EdgeCondition("a")), Star(EdgeCondition("b"))), "p")
+    assert rule.has_star
+    _rule_searches_like_its_condition(g, "x", "y", rule)
+
+
+def test_top_rule_has_no_path_to_match():
+    g = small(["x", "y"], [("x", "y", "a")])
+    with pytest.raises(PolicyError, match="TOP is not a path condition"):
+        match_path(g, "x", "y", PrincipalMatchingRule(TOP, "everyone"))
 
 
 @pytest.mark.parametrize("repeated", [Plus, Star], ids=["plus", "star"])

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import rebac.matching
-from rebac import evaluate, make_fixture
+from rebac import PrincipalMatchingRule, evaluate, make_fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 GATED = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -70,22 +70,30 @@ def test_traced_benchmark_run_reports_graph_build(runs):
     # and rebac.matching's globals: a matcher that bypasses them reads 0 here
     assert result["metrics"]["paths.calls_per_op"]["value"] > 0
     assert result["metrics"]["matching.match_path_calls_per_op"]["value"] > 0
+    # a match_principals that searched past the match_path global would time no span
+    assert result["metrics"]["matching.match_path_hit_self_us"]["value"] > 0
+    assert result["metrics"]["matching.match_path_miss_self_us"]["value"] > 0
 
 
 def test_matcher_calls_the_path_functions_the_tracer_counts(monkeypatch):
     # paths.calls counts rebac.matching's globals; a matcher that bound one
-    # of them at import would call it past the counter, and the sum hides it
+    # of them at import would call it past the counter, and the sum hides it.
+    # A rule simplifies its condition once, when it is built, so evaluating
+    # a request simplifies nothing
     workspace = make_fixture("corporate")
     calls = Counter()
-    names = ("simplify", "head", "suffix", "render")
-    for name in names:
+    for name in ("simplify", "head", "suffix", "render"):
         def counted(*args, _name=name, _fn=getattr(rebac.matching, name)):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(rebac.matching, name, counted)
-    evaluate(workspace.graph, workspace.system, workspace.requests[0], trace=lambda line: None)
-    assert all(calls[name] > 0 for name in names), calls
+    for request in workspace.requests:
+        evaluate(workspace.graph, workspace.system, request, trace=lambda line: None)
+    assert all(calls[name] > 0 for name in ("head", "suffix", "render")), calls
+    assert calls["simplify"] == 0
+    PrincipalMatchingRule(workspace.system.principal_rules[0].condition, "p")
+    assert calls["simplify"] == 1
 
 
 def test_every_tracer_target_exists():
