@@ -14,6 +14,7 @@ README example call, and besides those:
   ``PrincipalMatchingRule``, ``AuthorizationRule``,
   ``AuthorizationSystem`` and ``ConflictStrategy``;
 - the errors a caller catches: ``GraphValidationError`` from the graph
+  constructor, ``PolicyError`` from the ``AuthorizationSystem``
   constructor and ``UnknownEntityError`` from ``evaluate``;
 - ``oracle_satisfies``, the independent decider the matcher is checked
   against.

@@ -25,7 +25,8 @@ reads them from the rule, which works them out once, when it is built.
 :func:`match_principals` runs an ordered rule list against a request
 and collects the principals of matching rules, either stopping at the
 first match or evaluating every rule; it passes each rule itself to
-:func:`match_path`.
+:func:`match_path`.  It checks nothing: an :class:`~rebac.pdp.AuthorizationSystem`
+checks its rules' shape (:func:`validate_policy`) once, when it is built.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class PolicyError(ValueError):
 class PrincipalMatchingRule:
     """Pairs a path condition (or TOP) with the principal it identifies.
 
-    ``text`` (the rendered condition, or "TOP"), ``has_star``, ``simple``
-    (the condition's simple form, or None for TOP) and ``bound_factor``
+    ``text`` (the rendered condition, or "TOP"), ``simple`` (the
+    condition's simple form, or None for TOP) and ``bound_factor``
     (``length + 2 * plus_count + 1`` of the condition, so that
     ``len(graph) * bound_factor == work_bound(graph, condition)``; 0 for
     TOP) do not depend on any request, so they are computed once, here,
@@ -111,19 +112,16 @@ class PrincipalMatchingRule:
     condition: PathCondition | _Top
     principal: str
     text: str = field(init=False, repr=False, compare=False)
-    has_star: bool = field(init=False, repr=False, compare=False)
     simple: PathCondition | None = field(init=False, repr=False, compare=False)
     bound_factor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.condition, PathCondition):
-            has_star = _contains_star(self.condition)
             text = render(self.condition)  # a '*' rule fails validation
             simple = simplify(self.condition)
             factor = _bound_factor(simple)
         else:
-            has_star, text, simple, factor = False, repr(self.condition), None, 0
-        object.__setattr__(self, "has_star", has_star)
+            text, simple, factor = repr(self.condition), None, 0
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "simple", simple)
         object.__setattr__(self, "bound_factor", factor)
@@ -365,14 +363,15 @@ class PrincipalMatching:
 
 
 def validate_policy(rules: Sequence[PrincipalMatchingRule]) -> list[str]:
-    """Violations of principal-matching policy shape, as messages."""
+    """Violations of principal-matching policy shape, as messages; run
+    when an :class:`~rebac.pdp.AuthorizationSystem` is built, never per request."""
     problems = []
     for position, rule in enumerate(rules, start=1):
         if rule.condition is TOP:
             if position != len(rules):
                 problems.append(f"rule {position}: TOP is only allowed as the last rule")
         elif isinstance(rule.condition, PathCondition):
-            if rule.has_star:
+            if _contains_star(rule.condition):
                 problems.append(f"rule {position}: '*' conditions are internal and not allowed in policies")
         else:
             problems.append(f"rule {position}: condition is neither a path condition nor TOP")
@@ -380,15 +379,9 @@ def validate_policy(rules: Sequence[PrincipalMatchingRule]) -> list[str]:
 
 
 def _contains_star(pc: PathCondition) -> bool:
-    if isinstance(pc, Star):
-        return True
     if isinstance(pc, Concat):
         return _contains_star(pc.left) or _contains_star(pc.right)
-    if isinstance(pc, Plus):
-        return _contains_star(pc.inner)
-    if hasattr(pc, "inner"):
-        return _contains_star(pc.inner)
-    return False
+    return isinstance(pc, Star) or (hasattr(pc, "inner") and _contains_star(pc.inner))
 
 
 def match_principals(
@@ -404,13 +397,11 @@ def match_principals(
 
     FirstMatch stops at the first matching rule; AllMatch evaluates the
     whole policy and deduplicates principals, keeping first occurrence.
-    A TOP rule (validated to sit last) matches whenever evaluated, so
-    under either strategy it acts as the default principal.
+    A TOP rule matches whenever evaluated, so under either strategy it
+    acts as the default principal.  ``rules`` must be as an
+    :class:`~rebac.pdp.AuthorizationSystem` holds them, checked when it is
+    built: TOP only last, path conditions only, no ``*``.
     """
-    problems = validate_policy(rules)
-    if problems:
-        raise PolicyError("; ".join(problems))
-
     principals: list[str] = []
     evaluations: list[RuleEvaluation] = []
     for number, rule in enumerate(rules, start=1):

@@ -11,6 +11,9 @@ resolution strategy, and the configured defaults cover the two ways the
 pipeline can come up empty (no principals matched; principals matched
 but no rule applied).  The pipeline is total: every well-formed request
 ends in Allow or Deny.
+
+An :class:`AuthorizationSystem` checks its own shape when it is built and
+:func:`validate_system` how it fits a graph; :func:`evaluate` checks neither.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ from typing import Callable, Container, Sequence
 
 from .graph import SystemGraph, UnknownEntityError
 from .matching import (
-    MatchStrategy,
-    PrincipalMatchingRule,
-    RuleEvaluation,
-    match_principals,
-    validate_policy,
+    MatchStrategy, PolicyError, PrincipalMatchingRule, RuleEvaluation, match_principals, validate_policy,
 )
 
 __all__ = [
@@ -84,17 +83,34 @@ class Request:
     action: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuthorizationSystem:
-    """A complete policy configuration: both stages plus defaults."""
+    """A complete policy configuration: both stages plus defaults.  Building
+    stores the rules as tuples and raises :class:`PolicyError` for a policy
+    :func:`validate_policy` rejects, a strategy outside its enum, or a
+    non-bool ``allow``."""
 
-    principal_rules: list[PrincipalMatchingRule]
+    principal_rules: Sequence[PrincipalMatchingRule]
     pms: MatchStrategy
-    auth_rules: list[AuthorizationRule]
+    auth_rules: Sequence[AuthorizationRule]
     crs: ConflictStrategy
     system_default: Decision = Decision.DENY
     subject_defaults: dict[str, Decision] = field(default_factory=dict)
     object_defaults: dict[str, Decision] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "principal_rules", tuple(self.principal_rules))
+        object.__setattr__(self, "auth_rules", tuple(self.auth_rules))
+        problems = validate_policy(self.principal_rules)
+        if not isinstance(self.pms, MatchStrategy):
+            problems.append(f"unknown principal matching strategy {self.pms!r}")
+        if not isinstance(self.crs, ConflictStrategy):
+            problems.append(f"unknown conflict resolution strategy {self.crs!r}")
+        for position, rule in enumerate(self.auth_rules, start=1):
+            if not isinstance(rule.allow, bool):
+                problems.append(f"authorization rule {position}: allow must be a boolean")
+        if problems:
+            raise PolicyError("; ".join(problems))
 
 
 def possible_decisions(
@@ -204,20 +220,13 @@ class DecisionTrace:
 
 
 def validate_system(system: AuthorizationSystem, entities: Container[str]) -> list[str]:
-    """Violations of an authorization system over the entity ids in
-    ``entities`` (a :class:`SystemGraph` is one), as messages: the policy's
-    shape, the strategies, authorization rules whose principal no
-    principal-matching rule produces or whose object is neither an entity
-    nor ``*``, and defaults for unknown entities."""
-    problems = validate_policy(system.principal_rules)
-    if not isinstance(system.pms, MatchStrategy):
-        problems.append(f"unknown principal matching strategy {system.pms!r}")
-    if not isinstance(system.crs, ConflictStrategy):
-        problems.append(f"unknown conflict resolution strategy {system.crs!r}")
+    """Violations of how an authorization system fits the entity ids in
+    ``entities`` (a :class:`SystemGraph` is one), as messages: authorization
+    rules whose principal no principal-matching rule produces or whose
+    object is neither an entity nor ``*``, and defaults for unknown entities."""
+    problems = []
     known = {rule.principal for rule in system.principal_rules}
     for position, rule in enumerate(system.auth_rules, start=1):
-        if not isinstance(rule.allow, bool):
-            problems.append(f"authorization rule {position}: allow must be a boolean")
         if rule.principal not in known:
             problems.append(
                 f"authorization rule {position}: principal {rule.principal!r}"

@@ -37,16 +37,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from .graph import GraphValidationError, SystemGraph, SystemModel, validate_model
-from .matching import MatchStrategy, PrincipalMatchingRule, TOP
+from .matching import MatchStrategy, PrincipalMatchingRule, TOP, validate_policy
 from .paths import DIAMOND, PathSyntaxError, parse
-from .pdp import (
-    AuthorizationRule,
-    AuthorizationSystem,
-    ConflictStrategy,
-    Decision,
-    Request,
-    validate_system,
-)
+from .pdp import AuthorizationRule, AuthorizationSystem, ConflictStrategy, Decision, Request, validate_system
 
 __all__ = [
     "Workspace",
@@ -242,6 +235,10 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         for entity, value in mapping.items():
             out[entity] = _decision(value, problems, f"defaults.{bucket}[{entity!r}]")
 
+    problems.extend(validate_policy(principal_rules))  # parsing rejects '*': only a misplaced TOP is left
+    for n, rule in enumerate(principal_rules[:-1]):
+        if rule.condition is TOP:  # stands in as the empty path, like an unparsable one
+            principal_rules[n] = PrincipalMatchingRule(DIAMOND, rule.principal)
     system = AuthorizationSystem(
         principal_rules=principal_rules,
         pms=pms,

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from rebac import (
+    AuthorizationSystem,
+    ConflictStrategy,
     PolicyError,
     PrincipalMatchingRule,
     MatchStrategy,
@@ -259,10 +261,9 @@ def test_rule_searches_like_its_condition_on_random_and_deepest_conditions():
 
 
 def test_star_rule_builds_and_searches_like_its_condition():
-    # validate_policy rejects it, but building must not raise
+    # an AuthorizationSystem refuses it, but building the rule must not raise
     g = small(["x", "y"], [("x", "y", "a"), ("y", "x", "b"), ("x", "x", "b")])
     rule = PrincipalMatchingRule(Concat(Star(EdgeCondition("a")), Star(EdgeCondition("b"))), "p")
-    assert rule.has_star
     _rule_searches_like_its_condition(g, "x", "y", rule)
 
 
@@ -340,18 +341,28 @@ def test_catch_all_records_empty_metrics():
     assert top_eval.metrics.nodes_visited == 0
 
 
+def system_of(rules) -> AuthorizationSystem:
+    return AuthorizationSystem(rules, MatchStrategy.ALL_MATCH, [], ConflictStrategy.FIRST_MATCH)
+
+
 def test_policy_with_misplaced_catch_all_is_rejected():
     bad = [PrincipalMatchingRule(TOP, "everyone"), PrincipalMatchingRule(parse("a"), "p")]
-    g = small(["x"], [])
-    with pytest.raises(PolicyError):
-        match_principals(g, "x", "x", bad, MatchStrategy.ALL_MATCH)
+    with pytest.raises(PolicyError, match="^rule 1: TOP is only allowed as the last rule$"):
+        system_of(bad)
 
 
 def test_policy_with_star_condition_is_rejected():
-    bad = [PrincipalMatchingRule(Star(EdgeCondition("a")), "p")]
-    assert any("internal" in p for p in validate_policy(bad))
+    # the '*' sits below the top of the condition
+    bad = [
+        PrincipalMatchingRule(parse("a"), "q"),
+        PrincipalMatchingRule(Concat(EdgeCondition("a"), Star(EdgeCondition("a"))), "p"),
+    ]
+    with pytest.raises(PolicyError) as excinfo:
+        system_of(bad)
+    assert str(excinfo.value) == "rule 2: '*' conditions are internal and not allowed in policies"
 
 
 def test_policy_with_nested_plus_allows_star_only_internally():
     ok = [PrincipalMatchingRule(Plus(Plus(EdgeCondition("a"))), "p")]
     assert validate_policy(ok) == []
+    assert system_of(ok).principal_rules == tuple(ok)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from rebac import (
     ConflictStrategy,
     Decision,
     MatchStrategy,
+    PolicyError,
     PrincipalMatchingRule,
     Request,
     SystemGraph,
@@ -287,5 +289,59 @@ def test_evaluation_neither_renders_nor_walks_rules(monkeypatch):
 
     monkeypatch.setattr("rebac.matching.render", refuse)
     monkeypatch.setattr("rebac.matching._contains_star", refuse)
+    monkeypatch.setattr("rebac.matching.validate_policy", refuse)
+    monkeypatch.setattr("rebac.pdp.validate_policy", refuse)
     assert [evaluate(ws.graph, ws.system, r).to_dict() for r in ws.requests] == expected
     assert len(expected) == 5
+
+
+# -- a system checks itself when built ----------------------------------------
+
+
+def two_principal_system() -> AuthorizationSystem:
+    return AuthorizationSystem(
+        [
+            PrincipalMatchingRule(parse("a"), "p1"),
+            PrincipalMatchingRule(parse("a"), "p2"),
+            PrincipalMatchingRule(TOP, "any"),
+        ],
+        MatchStrategy.FIRST_MATCH,
+        [AuthorizationRule("p1", "o", "read", True), AuthorizationRule("p2", "o", "read", False)],
+        ConflictStrategy.DENY_OVERRIDE,
+    )
+
+
+def test_a_built_system_is_frozen_and_decides_by_its_strategies():
+    system = two_principal_system()
+    trace = evaluate(linked_graph(), system, Request("u", "o", "read"))
+    assert (trace.matched_principals, trace.outcome) == (["p1"], Decision.ALLOW)
+    assert type(system.principal_rules) is tuple and type(system.auth_rules) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.pms = MatchStrategy.ALL_MATCH
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # as a string, FirstMatch would evaluate as AllMatch
+        ({"pms": "FirstMatch"}, "unknown principal matching strategy 'FirstMatch'"),
+        # as a string, DenyOverride would fail in resolve on a conflict
+        ({"crs": "DenyOverride"}, "unknown conflict resolution strategy 'DenyOverride'"),
+        ({"auth_rules": [AuthorizationRule("p1", "o", "read", "no")]}, "authorization rule 1: allow must be a boolean"),
+        (
+            {"principal_rules": [PrincipalMatchingRule("a", "p1"), PrincipalMatchingRule(TOP, "any")]},
+            "rule 1: condition is neither a path condition nor TOP",
+        ),
+        (
+            {"principal_rules": [PrincipalMatchingRule(TOP, "any"), PrincipalMatchingRule(parse("a"), "p1")],
+             "pms": "AllMatch", "crs": "DenyOverride"},
+            "rule 1: TOP is only allowed as the last rule; unknown principal matching strategy 'AllMatch';"
+            " unknown conflict resolution strategy 'DenyOverride'",
+        ),
+    ],
+    ids=["string-pms", "string-crs", "non-bool-allow", "non-condition", "every-problem"],
+)
+def test_a_system_that_evaluation_would_misread_is_refused_when_built(changes, message):
+    with pytest.raises(PolicyError) as excinfo:
+        dataclasses.replace(two_principal_system(), **changes)
+    assert str(excinfo.value) == message

@@ -166,6 +166,27 @@ def test_catch_all_must_be_last():
     assert any("TOP is only allowed as the last rule" in v for v in violations(doc))
 
 
+def test_policy_faults_are_listed_in_load_order():
+    # the shape faults an AuthorizationSystem refuses come between the
+    # parse errors and the checks against the graph's entities
+    doc = base()
+    system = doc["authorization_system"]
+    rules = system["principal_rules"]
+    rules.insert(0, rules.pop())  # move TOP to the front
+    rules[2]["path"] = "uo . nope"
+    system["auth_rules"].insert(0, {"principal": "ownr", "object": "file9", "action": "read", "allow": True})
+    system["auth_rules"].append({"principal": "nobody", "object": "*", "action": "read", "allow": False})
+    system["defaults"]["objects"] = {"ghost": "allow"}
+    assert violations(doc) == [
+        "principal rule 3: unknown relationship label 'nope' (at position 5)",
+        "rule 1: TOP is only allowed as the last rule",
+        "authorization rule 1: principal 'ownr' is not produced by any principal matching rule",
+        "authorization rule 1: object 'file9' is not an entity or \"*\"",
+        "authorization rule 6: principal 'nobody' is not produced by any principal matching rule",
+        "defaults.objects: unknown entity 'ghost'",
+    ]
+
+
 def test_authorization_rule_object_must_exist_or_be_wildcard():
     doc = base()
     doc["authorization_system"]["auth_rules"].append(
