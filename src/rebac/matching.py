@@ -227,12 +227,21 @@ def work_bound(graph: SystemGraph, condition: PathCondition) -> int:
     ``X* . K``, which each ``+`` leaves as its remainder and each ``*``
     is.  ``plus_count`` counts both, so there are at most
     length + 2 * plus_count + 1 residuals, each paired with a node.
+
+    The same count bounds the edge work.  A branch is active at a node
+    when that (node, branch) pair is dequeued or when the branch is first
+    paired with the node, and the node sets admit each pair once, so each
+    pair is active at most once per search; each activation adds the
+    node's comparison count ``cost(v)`` from :meth:`SystemGraph.label_index`
+    (a hit's recount adds at most that).  Hence ``edges_considered <=
+    bound_factor * sum(cost(v) for v in the graph)``, where
+    ``bound_factor`` is this bound divided by ``len(graph)``.
     """
-    return len(graph) * _bound_factor(condition)
+    return len(graph) * _bound_factor(simplify(condition))
 
 
-def _bound_factor(condition: PathCondition) -> int:
-    return length(condition) + 2 * plus_count(condition) + 1
+def _bound_factor(simple: PathCondition) -> int:
+    return length(simple) + 2 * plus_count(simple) + 1
 
 
 def match_path(

@@ -28,15 +28,16 @@ and one with ``@``.
 
 Every condition has a *simple form*: reversal pushed onto labels, the
 empty condition eliminated from under concatenation and repetition, and
-concatenation associated to the right.  :func:`simplify` computes it,
-and the matcher operates exclusively on simple conditions.
+concatenation associated to the right.  :func:`simplify` computes it.
+:func:`head`, :func:`suffix`, :func:`length` and :func:`plus_count` take
+a simple condition, never simplify again and keep no cache; a
+:class:`Reverse` node, which only a raw condition holds, is a TypeError.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "MAX_DEPTH",
@@ -304,7 +305,6 @@ def _simplify(pc: PathCondition, flip: bool) -> PathCondition:
     raise TypeError(f"not a path condition: {pc!r}")
 
 
-@lru_cache(maxsize=4096)
 def simplify(pc: PathCondition) -> PathCondition:
     """Simple form: reversal on labels only, no empty condition under
     concatenation or repetition, concatenation right-associated.
@@ -314,91 +314,75 @@ def simplify(pc: PathCondition) -> PathCondition:
     return _simplify(pc, False)
 
 
-@lru_cache(maxsize=4096)
+def _split(pc: PathCondition, part: str) -> tuple[EdgeCondition, list[PathCondition]]:
+    # the head of a simple condition, and what follows it at each level of
+    # its spine, outermost first; ``part`` names the one asked for
+    follows = []
+    node = pc
+    while not isinstance(node, EdgeCondition):
+        if isinstance(node, Concat):
+            follows.append(node.right)
+            node = node.left
+        elif isinstance(node, Plus):
+            follows.append(Star(node.inner))
+            node = node.inner
+        elif isinstance(node, Diamond):
+            raise ValueError(f"the empty condition has no {part}")
+        elif isinstance(node, Star):
+            raise ValueError(f"a leading zero-or-more repetition has no {part}")
+        else:
+            raise TypeError(f"not a path condition in simple form: {node!r}")
+    return node, follows
+
+
 def head(pc: PathCondition) -> EdgeCondition:
-    """The edge condition any satisfying path must start with.
+    """The edge condition any satisfying path of the simple ``pc`` must
+    start with.
 
     Undefined for the empty condition and for conditions whose first
     factor is a zero-or-more repetition (those may be satisfied without
     traversing any edge).
     """
-    pc = simplify(pc)
-    node = pc
-    while True:
-        if isinstance(node, EdgeCondition):
-            return node
-        if isinstance(node, Plus):
-            node = node.inner
-        elif isinstance(node, Concat):
-            node = node.left
-        elif isinstance(node, Diamond):
-            raise ValueError("the empty condition has no head")
-        elif isinstance(node, Star):
-            raise ValueError("a leading zero-or-more repetition has no head")
-        else:
-            raise TypeError(f"not a path condition: {node!r}")
+    return _split(pc, "head")[0]
 
 
-@lru_cache(maxsize=4096)
 def suffix(pc: PathCondition) -> PathCondition:
-    """What remains of ``pc`` after its head edge is traversed.
+    """What remains of the simple ``pc`` after its head edge is traversed.
 
     ``pc`` is equivalent to its head concatenated with its suffix.  The
     suffix of a repetition keeps a zero-or-more remainder, so the result
-    may contain Star; it is returned in simple form.
+    may contain Star; it is returned in simple form.  It is what follows
+    the head at each level of ``pc``, innermost first, joined from the
+    right so that each part is walked once.
     """
-    pc = simplify(pc)
-
-    def tail(node: PathCondition) -> PathCondition:
-        if isinstance(node, EdgeCondition):
-            return DIAMOND
-        if isinstance(node, Concat):
-            return _concat_canonical(tail(node.left), node.right)
-        if isinstance(node, Plus):
-            return _concat_canonical(tail(node.inner), Star(node.inner))
-        if isinstance(node, Diamond):
-            raise ValueError("the empty condition has no suffix")
-        if isinstance(node, Star):
-            raise ValueError("a leading zero-or-more repetition has no suffix")
-        raise TypeError(f"not a path condition: {node!r}")
-
-    return tail(pc)
+    rest = DIAMOND
+    for part in _split(pc, "suffix")[1]:
+        rest = _concat_canonical(part, rest)
+    return rest
 
 
-@lru_cache(maxsize=4096)
 def length(pc: PathCondition) -> int:
-    """Number of labels in the simple form; repetition does not add.
+    """Number of labels in the simple ``pc``; repetition does not add.
 
     The empty condition has length 0.
     """
-    pc = simplify(pc)
-
-    def count(node: PathCondition) -> int:
-        if isinstance(node, Diamond):
-            return 0
-        if isinstance(node, EdgeCondition):
-            return 1
-        if isinstance(node, Concat):
-            return count(node.left) + count(node.right)
-        if isinstance(node, (Plus, Star)):
-            return count(node.inner)
-        raise TypeError(f"not a path condition: {node!r}")
-
-    return count(pc)
+    if isinstance(pc, Diamond):
+        return 0
+    if isinstance(pc, EdgeCondition):
+        return 1
+    if isinstance(pc, Concat):
+        return length(pc.left) + length(pc.right)
+    if isinstance(pc, (Plus, Star)):
+        return length(pc.inner)
+    raise TypeError(f"not a path condition in simple form: {pc!r}")
 
 
-@lru_cache(maxsize=4096)
 def plus_count(pc: PathCondition) -> int:
-    """Number of repetitions, ``+`` and the internal ``*``, in the simple form."""
-    pc = simplify(pc)
-
-    def count(node: PathCondition) -> int:
-        if isinstance(node, (Diamond, EdgeCondition)):
-            return 0
-        if isinstance(node, Concat):
-            return count(node.left) + count(node.right)
-        if isinstance(node, (Plus, Star)):
-            return 1 + count(node.inner)
-        raise TypeError(f"not a path condition: {node!r}")
-
-    return count(pc)
+    """Number of repetitions, ``+`` and the internal ``*``, in the simple ``pc``."""
+    if isinstance(pc, (Diamond, EdgeCondition)):
+        return 0
+    if isinstance(pc, Concat):
+        return plus_count(pc.left) + plus_count(pc.right)
+    if isinstance(pc, (Plus, Star)):
+        return 1 + plus_count(pc.inner)
+    raise TypeError(f"not a path condition in simple form: {pc!r}")

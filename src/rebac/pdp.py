@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Container, Sequence
+from types import MappingProxyType
+from typing import Callable, Container, Mapping, Sequence
 
 from .graph import SystemGraph, UnknownEntityError
 from .matching import (
@@ -86,21 +87,24 @@ class Request:
 @dataclass(frozen=True)
 class AuthorizationSystem:
     """A complete policy configuration: both stages plus defaults.  Building
-    stores the rules as tuples and raises :class:`PolicyError` for a policy
-    :func:`validate_policy` rejects, a strategy outside its enum, or a
-    non-bool ``allow``."""
+    stores the rules as tuples and the default maps as read-only copies,
+    and raises :class:`PolicyError` for a policy :func:`validate_policy`
+    rejects, a strategy outside its enum, a non-bool ``allow``, or a
+    default that is not a :class:`Decision`."""
 
     principal_rules: Sequence[PrincipalMatchingRule]
     pms: MatchStrategy
     auth_rules: Sequence[AuthorizationRule]
     crs: ConflictStrategy
     system_default: Decision = Decision.DENY
-    subject_defaults: dict[str, Decision] = field(default_factory=dict)
-    object_defaults: dict[str, Decision] = field(default_factory=dict)
+    subject_defaults: Mapping[str, Decision] = field(default_factory=dict)
+    object_defaults: Mapping[str, Decision] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "principal_rules", tuple(self.principal_rules))
         object.__setattr__(self, "auth_rules", tuple(self.auth_rules))
+        object.__setattr__(self, "subject_defaults", MappingProxyType(dict(self.subject_defaults)))
+        object.__setattr__(self, "object_defaults", MappingProxyType(dict(self.object_defaults)))
         problems = validate_policy(self.principal_rules)
         if not isinstance(self.pms, MatchStrategy):
             problems.append(f"unknown principal matching strategy {self.pms!r}")
@@ -109,6 +113,12 @@ class AuthorizationSystem:
         for position, rule in enumerate(self.auth_rules, start=1):
             if not isinstance(rule.allow, bool):
                 problems.append(f"authorization rule {position}: allow must be a boolean")
+        if not isinstance(self.system_default, Decision):
+            problems.append(f"system default must be a Decision, found {self.system_default!r}")
+        for level, defaults in (("subject", self.subject_defaults), ("object", self.object_defaults)):
+            for entity, decision in defaults.items():
+                if not isinstance(decision, Decision):
+                    problems.append(f"{level} default for {entity!r} must be a Decision, found {decision!r}")
         if problems:
             raise PolicyError("; ".join(problems))
 

@@ -108,7 +108,7 @@ def test_criterion_3_match_metrics(corporate_ws):
             assert metrics.nodes_visited == nodes
             assert metrics.edges_considered == edges
             assert metrics.pairs_seen == seen
-            bound = len(graph) * (length(pc) + plus_count(pc) + 1)
+            bound = len(graph) * (length(simplify(pc)) + plus_count(simplify(pc)) + 1)
             assert metrics.nodes_visited <= bound
             assert metrics.pairs_seen <= bound
             details.append(f"n={nodes} e={edges}")

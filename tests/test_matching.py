@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import rebac.paths
 from rebac import (
     AuthorizationSystem,
     ConflictStrategy,
@@ -22,7 +23,7 @@ from rebac import (
     work_bound,
 )
 from rebac.differential import random_condition, random_graph, random_simple_condition, run_differential
-from rebac.matching import match_principals, validate_policy
+from rebac.matching import _EMPTY, _States, match_principals, validate_policy
 from rebac.paths import DIAMOND, MAX_DEPTH, Concat, EdgeCondition, Plus, Star, length, plus_count
 
 from reference_matcher import reference_match_path
@@ -223,7 +224,87 @@ def test_residuals_number_at_most_length_plus_twice_plus_count_plus_one():
     for pc in conditions:
         found, metrics = match_path(loops, "x", "y", pc)
         assert not found
-        assert metrics.pairs_seen <= length(pc) + 2 * plus_count(pc) + 1, pc
+        assert metrics.pairs_seen <= length(simplify(pc)) + 2 * plus_count(simplify(pc)) + 1, pc
+
+
+def _within_edge_bound(graph, source, target, condition) -> None:
+    # each (node, branch) pair is active at most once, adding the node's cost
+    _, metrics = match_path(graph, source, target, condition)
+    costs = sum(cost for _, cost in graph.label_index().values())
+    factor = work_bound(graph, condition) // len(graph)
+    assert metrics.edges_considered <= factor * costs, (source, target, condition)
+
+
+def test_edge_work_stays_within_bound_factor_times_the_comparison_counts():
+    rng = random.Random(17)
+    for _ in range(20_000):
+        graph = random_graph(rng)
+        nodes = graph.entity_ids
+        _within_edge_bound(graph, rng.choice(nodes), rng.choice(nodes), random_condition(rng))
+    for name in ("corporate", "rbac", "unix"):
+        workspace = make_fixture(name)
+        for rule in workspace.system.principal_rules:
+            if rule.condition is not TOP:
+                for request in workspace.requests:
+                    _within_edge_bound(workspace.graph, request.subject, request.object, rule.condition)
+    model = random_graph(rng).model
+    loops = SystemGraph(model, {"x": "node", "y": "node"}, [("x", "x", label) for label in model.labels])
+    for text in DEPTH_FORMS:
+        for target in ("x", "y"):
+            _within_edge_bound(loops, "x", target, parse(text))
+
+
+def test_a_built_rule_is_searched_without_simplifying_again(monkeypatch):
+    # over a label no other test uses, so that nothing met earlier can stand in
+    model = SystemModel(["node"], ["z"], permissible=[("node", "node", "z")])
+    loops = SystemGraph(model, {"x": "node", "y": "node"}, [("x", "x", "z")])
+    rules = [PrincipalMatchingRule(parse(text.replace("a", "z")), "p") for text in DEPTH_FORMS]
+
+    def forbidden(*args):
+        raise AssertionError("a search simplified its condition again")
+
+    monkeypatch.setattr(rebac.paths, "_simplify", forbidden)
+    for rule in rules:
+        assert match_path(loops, "x", "x", rule).found
+        assert not match_path(loops, "x", "y", rule).found
+
+
+def _factors(pc) -> int:
+    count = 0
+    while isinstance(pc, Concat):
+        count, pc = count + 1, pc.right
+    return count + (pc != DIAMOND)
+
+
+def test_suffix_joins_each_part_once_on_the_deepest_closure(monkeypatch):
+    # every residual that a search of uo followed by 99 '+' can number
+    workspace = make_fixture("unix")
+    simple = simplify(parse("uo" + "+" * (MAX_DEPTH - 1), workspace.graph.model.labels))
+    calls, suffixes = 0, 0
+    concat, suffix = rebac.paths._concat_canonical, rebac.matching.suffix
+
+    def counted_concat(left, right):
+        nonlocal calls
+        calls += 1
+        return concat(left, right)
+
+    def counted_suffix(residual):
+        nonlocal calls, suffixes
+        calls, suffixes = 0, suffixes + 1
+        rest = suffix(residual)
+        assert calls <= 2 * _factors(rest), (residual, calls)
+        return rest
+
+    monkeypatch.setattr(rebac.paths, "_concat_canonical", counted_concat)
+    monkeypatch.setattr(rebac.matching, "suffix", counted_suffix)
+    states = _States(workspace.graph.model.symmetric)
+    state = states.number(simple)
+    while state < len(states.residuals):
+        for branch in states.unfold(state):
+            if branch != _EMPTY:
+                states.move(branch)
+        state += 1
+    assert suffixes >= MAX_DEPTH
 
 
 def _rule_searches_like_its_condition(graph, source, target, rule) -> None:

@@ -150,11 +150,11 @@ def test_simplify_is_idempotent_on_examples():
 
 
 def test_head_of_label_and_composites():
-    assert head(A) == A
-    assert head(parse("~a")) == RA
-    assert head(parse("a . b")) == A
-    assert head(parse("a+ . b")) == A
-    assert head(parse("(~a . b)+")) == RA
+    assert head(simplify(A)) == A
+    assert head(simplify(parse("~a"))) == RA
+    assert head(simplify(parse("a . b"))) == A
+    assert head(simplify(parse("a+ . b"))) == A
+    assert head(simplify(parse("(~a . b)+"))) == RA
 
 
 def test_suffix_of_label_is_empty_condition():
@@ -202,7 +202,7 @@ def test_head_and_suffix_undefined_for_leading_star():
 )
 def test_length(text, expected):
     vocab = CORPORATE_LABELS if any(ch.isupper() for ch in text) else None
-    assert length(parse(text, vocab)) == expected
+    assert length(simplify(parse(text, vocab))) == expected
 
 
 @pytest.mark.parametrize(
@@ -211,9 +211,15 @@ def test_length(text, expected):
 )
 def test_plus_count(text, expected):
     vocab = CORPORATE_LABELS if any(ch.isupper() for ch in text) else None
-    assert plus_count(parse(text, vocab)) == expected
+    assert plus_count(simplify(parse(text, vocab))) == expected
 
 
 def test_simplify_identifies_reversal_of_plus():
     assert simplify(parse("~(a+)")) == simplify(parse("(~a)+"))
     assert simplify(parse("a . b")) != simplify(parse("b . a"))
+
+
+@pytest.mark.parametrize("function", [head, suffix, length, plus_count])
+def test_path_algebra_refuses_a_condition_not_yet_simplified(function):
+    with pytest.raises(TypeError, match="simple form"):
+        function(parse("~a"))

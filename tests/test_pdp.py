@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -23,6 +24,8 @@ from rebac import (
 )
 from rebac.fixtures import corporate_workspace
 from rebac.pdp import WILDCARD, DefaultStage, apply_defaults, possible_decisions, resolve, validate_system
+
+from decision_semantics import decide, decision_list
 
 MODEL = SystemModel(["t"], ["a"], permissible=[("t", "t", "a")])
 
@@ -345,3 +348,77 @@ def test_a_system_that_evaluation_would_misread_is_refused_when_built(changes, m
     with pytest.raises(PolicyError) as excinfo:
         dataclasses.replace(two_principal_system(), **changes)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"system_default": "allow"}, "system default must be a Decision, found 'allow'"),
+        (
+            {"subject_defaults": {"u": "allow"}, "object_defaults": {"o": Decision.DENY, "x": None}},
+            "subject default for 'u' must be a Decision, found 'allow';"
+            " object default for 'x' must be a Decision, found None",
+        ),
+    ],
+    ids=["string-system-default", "entity-defaults"],
+)
+def test_a_default_that_is_not_a_decision_is_refused_when_built(changes, message):
+    # evaluate would return the string as the outcome, and to_dict would fail on it
+    with pytest.raises(PolicyError) as excinfo:
+        dataclasses.replace(two_principal_system(), **changes)
+    assert str(excinfo.value) == message
+
+
+def test_a_built_system_keeps_its_defaults_when_the_maps_change():
+    subjects, objects = {"u": Decision.ALLOW}, {}
+    system = tiny_system([], subject_defaults=subjects, object_defaults=objects)
+    subjects["u"] = "allow"
+    objects["o"] = Decision.ALLOW
+    assert apply_defaults(DefaultStage.NO_PRINCIPALS, "u", "o", system) == (Decision.ALLOW, "subject")
+    assert apply_defaults(DefaultStage.NO_DECISION, "u", "o", system) == (Decision.DENY, "system")
+    with pytest.raises(TypeError):
+        system.subject_defaults["w"] = Decision.DENY
+    with pytest.raises(TypeError):
+        system.object_defaults["o"] = Decision.ALLOW
+
+
+# -- stage two against its definition, exhaustively -----------------------------
+
+STAGE_TWO_RULES = [
+    AuthorizationRule(principal, object_, action, allow)
+    for principal in ("p", "q")
+    for object_ in ("o", WILDCARD, "x")
+    for action in ("read", "write")
+    for allow in (True, False)
+]
+MATCHED_LISTS = [[], ["p"], ["q"], ["p", "q"], ["q", "p"]]
+# the subject's, the object's and the system's default: each of the first two present or absent
+DEFAULT_LEVELS = [
+    (None, None, Decision.ALLOW),
+    (Decision.ALLOW, None, Decision.DENY),
+    (None, Decision.DENY, Decision.ALLOW),
+    (Decision.ALLOW, Decision.DENY, Decision.DENY),
+]
+
+
+def test_stage_two_follows_its_definition_on_every_small_policy():
+    # every list of at most 3 rules over 2 principals, objects o, * and x,
+    # 2 actions and both bits; every matched list; every strategy; every
+    # row of DEFAULT_LEVELS; requests are (u, o, read)
+    systems = [
+        (crs, {"subject": s, "object": o, "system": system},
+         tiny_system([], crs=crs, subject_defaults={"u": s} if s else {}, object_defaults={"o": o} if o else {},
+                     system_default=system))
+        for crs in ConflictStrategy
+        for s, o, system in DEFAULT_LEVELS
+    ]
+    rule_lists = [rules for size in range(4) for rules in itertools.product(STAGE_TWO_RULES, repeat=size)]
+    assert len(rule_lists) == 1 + 24 + 24**2 + 24**3
+    for rules in rule_lists:
+        for matched in MATCHED_LISTS:
+            bits = possible_decisions(matched, "o", "read", rules)
+            assert bits == decision_list(rules, matched, "o", "read"), (rules, matched)
+            stage = DefaultStage.NO_DECISION if matched else DefaultStage.NO_PRINCIPALS
+            for crs, defaults, system in systems:
+                got = (resolve(bits, crs), "rules") if bits else apply_defaults(stage, "u", "o", system)
+                assert got == decide(bits, matched, crs, defaults), (rules, matched, crs, defaults)

@@ -212,7 +212,7 @@ def test_length_and_plus_count_survive_simplification(rng):
     # simplification keeps every label and drops only repetitions of the
     # empty condition, so the raw tree's counts are the simple form's
     pc = _condition(rng)
-    assert (length(pc), plus_count(pc)) == _raw_counts(pc)
+    assert (length(simplify(pc)), plus_count(simplify(pc))) == _raw_counts(pc)
 
 
 @given(st.randoms())

@@ -10,6 +10,8 @@ output and the reason it changed.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +51,15 @@ def test_cli_output_matches_its_digest(argv, workspace_dir, monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+
+
+def test_metrics_report_output_matches_its_digest(capsys):
+    # the bundled corporate workspace: every (request, path rule) row
+    path = Path(__file__).resolve().parents[1] / "scripts" / "metrics_report.py"
+    spec = importlib.util.spec_from_file_location("metrics_report", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.main([]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == "34fa5f27dc19dbfd63fc52ccf9050b3a0a8fb7f6c231d37788f81f1095e5fb26"
