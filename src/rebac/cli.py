@@ -28,7 +28,7 @@ from .graph import GraphError
 from .matching import PolicyError, match_path
 from .paths import PathSyntaxError, parse, render, simplify
 from .pdp import Request, evaluate
-from .workspace import Workspace, WorkspaceError, load_workspace, save_workspace
+from .workspace import WorkspaceError, dumps_workspace, load_workspace, save_workspace
 
 _DEFAULT_ANNOTATIONS = {
     "default:system": " (system default)",
@@ -114,13 +114,11 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    workspace: Workspace = FIXTURES[args.name]()
+    workspace = FIXTURES[args.name]()
     if args.out:
         save_workspace(workspace, args.out)
         print(f"wrote {args.out}")
     else:
-        from .workspace import dumps_workspace
-
         sys.stdout.write(dumps_workspace(workspace))
     return 0
 

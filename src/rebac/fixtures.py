@@ -8,17 +8,23 @@ Three classic policy idioms expressed as path conditions:
 * ``corporate``: a project-centric organisation whose folder trees,
   supervision chains and client relationships drive the policy.  This
   is the fixture the instrumented evaluation scripts run against.
+
+Each fixture is data: record tuples written into a workspace document by
+:func:`rebac.workspace.document` and read back by ``loads_workspace``, so
+a fixture passes the same checks as a workspace file.
 """
 
 from __future__ import annotations
 
-from .graph import SystemGraph, SystemModel
-from .matching import MatchStrategy, PrincipalMatchingRule, TOP
-from .paths import parse
-from .pdp import AuthorizationRule, AuthorizationSystem, ConflictStrategy, Decision, Request
-from .workspace import Workspace
+import json
+
+from .workspace import Workspace, document, loads_workspace
 
 __all__ = ["FIXTURES", "unix_workspace", "rbac_workspace", "corporate_workspace"]
+
+
+def _load(name: str, **contents) -> Workspace:
+    return loads_workspace(json.dumps(document(**contents)), source=f"<fixture {name}>")
 
 
 def unix_workspace() -> Workspace:
@@ -28,7 +34,8 @@ def unix_workspace() -> Workspace:
     access to file1; carol is unrelated and falls through to the
     catch-all world rule.
     """
-    model = SystemModel(
+    return _load(
+        "unix",
         types=["user", "group", "object"],
         labels=["uo", "ug", "go"],
         permissible=[
@@ -36,49 +43,37 @@ def unix_workspace() -> Workspace:
             ("user", "group", "ug"),
             ("group", "object", "go"),
         ],
-    )
-    graph = SystemGraph(
-        model,
-        {
-            "alice": "user",
-            "bob": "user",
-            "carol": "user",
-            "staff": "group",
-            "file1": "object",
-            "file2": "object",
-        },
-        [
+        entities=[
+            ("alice", "user"),
+            ("bob", "user"),
+            ("carol", "user"),
+            ("staff", "group"),
+            ("file1", "object"),
+            ("file2", "object"),
+        ],
+        edges=[
             ("alice", "file1", "uo"),
             ("bob", "file2", "uo"),
             ("alice", "staff", "ug"),
             ("bob", "staff", "ug"),
             ("staff", "file1", "go"),
         ],
-    )
-    labels = model.labels
-    system = AuthorizationSystem(
-        principal_rules=[
-            PrincipalMatchingRule(parse("uo", labels), "owner"),
-            PrincipalMatchingRule(parse("ug . go", labels), "group"),
-            PrincipalMatchingRule(TOP, "world"),
-        ],
-        pms=MatchStrategy.FIRST_MATCH,
+        pms="FirstMatch",
+        principal_rules=[("uo", "owner"), ("ug . go", "group"), ("TOP", "world")],
         auth_rules=[
-            AuthorizationRule("owner", "*", "read", True),
-            AuthorizationRule("owner", "*", "write", True),
-            AuthorizationRule("group", "*", "read", True),
-            AuthorizationRule("world", "*", "read", False),
+            ("owner", "*", "read", True),
+            ("owner", "*", "write", True),
+            ("group", "*", "read", True),
+            ("world", "*", "read", False),
         ],
-        crs=ConflictStrategy.FIRST_MATCH,
-        system_default=Decision.DENY,
+        crs="FirstMatch",
+        requests=[
+            ("alice", "file1", "read"),
+            ("bob", "file1", "read"),
+            ("carol", "file1", "read"),
+            ("bob", "file1", "write"),
+        ],
     )
-    requests = [
-        Request("alice", "file1", "read"),
-        Request("bob", "file1", "read"),
-        Request("carol", "file1", "read"),
-        Request("bob", "file1", "write"),
-    ]
-    return Workspace(model, graph, system, requests)
 
 
 def rbac_workspace() -> Workspace:
@@ -95,7 +90,8 @@ def rbac_workspace() -> Workspace:
     engineer in the hierarchy; carol holds nothing but has a direct
     grant of approve-release.
     """
-    model = SystemModel(
+    return _load(
+        "rbac",
         types=["user", "role", "permission"],
         labels=["ua", "pa", "rr", "up"],
         permissible=[
@@ -104,19 +100,16 @@ def rbac_workspace() -> Workspace:
             ("role", "role", "rr"),
             ("user", "permission", "up"),
         ],
-    )
-    graph = SystemGraph(
-        model,
-        {
-            "alice": "user",
-            "bob": "user",
-            "carol": "user",
-            "engineer": "role",
-            "manager": "role",
-            "commit-code": "permission",
-            "approve-release": "permission",
-        },
-        [
+        entities=[
+            ("alice", "user"),
+            ("bob", "user"),
+            ("carol", "user"),
+            ("engineer", "role"),
+            ("manager", "role"),
+            ("commit-code", "permission"),
+            ("approve-release", "permission"),
+        ],
+        edges=[
             ("alice", "engineer", "ua"),
             ("bob", "manager", "ua"),
             ("manager", "engineer", "rr"),
@@ -124,201 +117,163 @@ def rbac_workspace() -> Workspace:
             ("manager", "approve-release", "pa"),
             ("carol", "approve-release", "up"),
         ],
-    )
-    labels = model.labels
-    system = AuthorizationSystem(
+        pms="AllMatch",
         principal_rules=[
-            PrincipalMatchingRule(parse("ua . pa", labels), "commit-code"),
-            PrincipalMatchingRule(parse("ua . pa", labels), "approve-release"),
-            PrincipalMatchingRule(parse("ua . rr+ . pa", labels), "commit-code"),
-            PrincipalMatchingRule(parse("ua . rr+ . pa", labels), "approve-release"),
-            PrincipalMatchingRule(parse("up", labels), "commit-code"),
-            PrincipalMatchingRule(parse("up", labels), "approve-release"),
+            ("ua . pa", "commit-code"),
+            ("ua . pa", "approve-release"),
+            ("ua . rr+ . pa", "commit-code"),
+            ("ua . rr+ . pa", "approve-release"),
+            ("up", "commit-code"),
+            ("up", "approve-release"),
         ],
-        pms=MatchStrategy.ALL_MATCH,
         auth_rules=[
-            AuthorizationRule("commit-code", "commit-code", "commit", True),
-            AuthorizationRule("approve-release", "approve-release", "approve", True),
+            ("commit-code", "commit-code", "commit", True),
+            ("approve-release", "approve-release", "approve", True),
         ],
-        crs=ConflictStrategy.FIRST_MATCH,
-        system_default=Decision.DENY,
+        crs="FirstMatch",
+        requests=[
+            ("alice", "commit-code", "commit"),
+            ("bob", "commit-code", "commit"),
+            ("bob", "approve-release", "approve"),
+            ("carol", "approve-release", "approve"),
+            ("carol", "commit-code", "commit"),
+        ],
     )
-    requests = [
-        Request("alice", "commit-code", "commit"),
-        Request("bob", "commit-code", "commit"),
-        Request("bob", "approve-release", "approve"),
-        Request("carol", "approve-release", "approve"),
-        Request("carol", "commit-code", "commit"),
-    ]
-    return Workspace(model, graph, system, requests)
-
-
-# Corporate organisation: two projects run by a technical and a sales team
-# under a small executive layer; each project has a folder tree for working
-# documents and a deliverables folder; printers attach to a team and a
-# project; an external client group is client of Proj.#1 and of its sales
-# contact.
-
-_CORPORATE_TYPES = ["User", "Group", "Project", "Folder", "File", "Printer"]
-
-_CORPORATE_LABELS = [
-    "Client-of",
-    "Deliverable-for",
-    "Member-of",
-    "Participant-of",
-    "Resource-for",
-    "Supervises",
-]
-
-_CORPORATE_PERMISSIBLE = [
-    ("Group", "Project", "Client-of"),
-    ("Group", "User", "Client-of"),
-    ("File", "Project", "Deliverable-for"),
-    ("Folder", "Project", "Deliverable-for"),
-    ("File", "Folder", "Member-of"),
-    ("Folder", "Folder", "Member-of"),
-    ("User", "Group", "Member-of"),
-    ("User", "Project", "Participant-of"),
-    ("File", "Project", "Resource-for"),
-    ("Folder", "Project", "Resource-for"),
-    ("Printer", "Project", "Resource-for"),
-    ("Printer", "Group", "Resource-for"),
-    ("User", "Project", "Supervises"),
-    ("User", "Group", "Supervises"),
-]
-
-_CORPORATE_ENTITIES = {
-    "CEO": "User",
-    "CFO": "User",
-    "CTO": "User",
-    "Tech.#1": "User",
-    "Tech.#2": "User",
-    "Sales.#1": "User",
-    "Sales.#2": "User",
-    "Execs": "Group",
-    "Tech. Team": "Group",
-    "Sales Team": "Group",
-    "Client#1": "Group",
-    "Proj.#1": "Project",
-    "Proj.#2": "Project",
-    "Proj.#1 Folder": "Folder",
-    "Proj.#1 Specs": "Folder",
-    "Proj.#1 Deliverables": "Folder",
-    "Proj.#2 Folder": "Folder",
-    "Proj.#2 Deliverables": "Folder",
-    "Func.Spec.#1": "File",
-    "Test.Spec.#1": "File",
-    "Proj.#1 Report#1": "File",
-    "Func.Spec.#2": "File",
-    "Proj.#2 Report#1": "File",
-    "Printer#1": "Printer",
-    "Printer#2": "Printer",
-}
-
-_CORPORATE_EDGES = [
-    # management structure
-    ("CEO", "Execs", "Supervises"),
-    ("CTO", "Execs", "Member-of"),
-    ("CFO", "Execs", "Member-of"),
-    ("CTO", "Tech. Team", "Supervises"),
-    ("CFO", "Sales Team", "Supervises"),
-    ("Tech.#1", "Tech. Team", "Member-of"),
-    ("Tech.#2", "Tech. Team", "Member-of"),
-    ("Sales.#1", "Sales Team", "Member-of"),
-    ("Sales.#2", "Sales Team", "Member-of"),
-    # project staffing
-    ("Tech.#2", "Proj.#1", "Participant-of"),
-    ("Tech.#2", "Proj.#1", "Supervises"),
-    ("Sales.#2", "Proj.#1", "Participant-of"),
-    ("Tech.#1", "Proj.#2", "Participant-of"),
-    ("Tech.#1", "Proj.#2", "Supervises"),
-    ("Sales.#1", "Proj.#2", "Participant-of"),
-    # Proj.#1 documents
-    ("Proj.#1 Folder", "Proj.#1", "Resource-for"),
-    ("Proj.#1 Specs", "Proj.#1 Folder", "Member-of"),
-    ("Func.Spec.#1", "Proj.#1 Specs", "Member-of"),
-    ("Test.Spec.#1", "Proj.#1 Specs", "Member-of"),
-    ("Proj.#1 Deliverables", "Proj.#1", "Deliverable-for"),
-    ("Proj.#1 Report#1", "Proj.#1 Deliverables", "Member-of"),
-    # Proj.#2 documents
-    ("Proj.#2 Folder", "Proj.#2", "Resource-for"),
-    ("Func.Spec.#2", "Proj.#2 Folder", "Member-of"),
-    ("Proj.#2 Deliverables", "Proj.#2", "Deliverable-for"),
-    ("Proj.#2 Report#1", "Proj.#2 Deliverables", "Member-of"),
-    # shared equipment
-    ("Printer#1", "Tech. Team", "Resource-for"),
-    ("Printer#2", "Proj.#1", "Resource-for"),
-    # the client
-    ("Client#1", "Proj.#1", "Client-of"),
-    ("Client#1", "Sales.#2", "Client-of"),
-]
-
-_CORPORATE_PRINCIPAL_RULES = [
-    ("Client-of . ~Deliverable-for . (~Member-of)+", "Deliverable Client"),
-    ("Supervises+ . ~Member-of . Supervises . ~Deliverable-for", "Deliverable Reviewer"),
-    ("Supervises+ . ~Member-of . Supervises . ~Deliverable-for . (~Member-of)+", "Deliverable Reviewer"),
-    ("Supervises . ~Deliverable-for", "Deliverable Supervisor"),
-    ("Supervises . ~Deliverable-for . (~Member-of)+", "Deliverable Supervisor"),
-    ("Participant-of . ~Deliverable-for", "Deliverable User"),
-    ("Participant-of . ~Deliverable-for . (~Member-of)+", "Deliverable User"),
-    ("Supervises . ~Resource-for", "Project Resource Supervisor"),
-    ("Supervises . ~Resource-for . (~Member-of)+", "Project Resource Supervisor"),
-    ("Participant-of . ~Resource-for", "Project Resource User"),
-    ("Participant-of . ~Resource-for . (~Member-of)+", "Project Resource User"),
-    ("Member-of . ~Resource-for", "Team Resource User"),
-]
-
-_CORPORATE_AUTH_RULES = [
-    ("Deliverable Client", "*", "read", True),
-    ("Deliverable Reviewer", "*", "read", True),
-    ("Deliverable Supervisor", "*", "read", True),
-    ("Deliverable Supervisor", "*", "write", True),
-    ("Deliverable User", "*", "read", True),
-    ("Project Resource Supervisor", "*", "read", True),
-    ("Project Resource Supervisor", "*", "write", True),
-    ("Project Resource User", "*", "read", True),
-    ("Project Resource User", "Func.Spec.#1", "write", False),
-    ("Project Resource User", "*", "write", True),
-    ("Team Resource User", "*", "write", True),
-]
-
-_CORPORATE_REQUESTS = [
-    ("Tech.#2", "Test.Spec.#1", "read"),
-    ("Tech.#2", "Func.Spec.#1", "write"),
-    ("Sales.#2", "Func.Spec.#1", "write"),
-    ("CTO", "Proj.#1 Report#1", "read"),
-    ("CEO", "Proj.#1 Report#1", "read"),
-]
 
 
 def corporate_workspace() -> Workspace:
     """The project-organisation example with its full policy.
 
+    Two projects run by a technical and a sales team under a small
+    executive layer; each project has a folder tree for working documents
+    and a deliverables folder; printers attach to a team and a project; an
+    external client group is client of Proj.#1 and of its sales contact.
+
     Evaluated with AllMatch principal matching, FirstMatch conflict
     resolution and a system-wide deny default.  The request list holds
     the five walkthrough requests the test suite pins down.
     """
-    model = SystemModel(
-        types=_CORPORATE_TYPES,
-        labels=_CORPORATE_LABELS,
-        permissible=_CORPORATE_PERMISSIBLE,
-    )
-    graph = SystemGraph(model, _CORPORATE_ENTITIES, _CORPORATE_EDGES)
-    system = AuthorizationSystem(
+    return _load(
+        "corporate",
+        types=["User", "Group", "Project", "Folder", "File", "Printer"],
+        labels=["Client-of", "Deliverable-for", "Member-of", "Participant-of", "Resource-for", "Supervises"],
+        permissible=[
+            ("Group", "Project", "Client-of"),
+            ("Group", "User", "Client-of"),
+            ("File", "Project", "Deliverable-for"),
+            ("Folder", "Project", "Deliverable-for"),
+            ("File", "Folder", "Member-of"),
+            ("Folder", "Folder", "Member-of"),
+            ("User", "Group", "Member-of"),
+            ("User", "Project", "Participant-of"),
+            ("File", "Project", "Resource-for"),
+            ("Folder", "Project", "Resource-for"),
+            ("Printer", "Project", "Resource-for"),
+            ("Printer", "Group", "Resource-for"),
+            ("User", "Project", "Supervises"),
+            ("User", "Group", "Supervises"),
+        ],
+        entities=[
+            ("CEO", "User"),
+            ("CFO", "User"),
+            ("CTO", "User"),
+            ("Tech.#1", "User"),
+            ("Tech.#2", "User"),
+            ("Sales.#1", "User"),
+            ("Sales.#2", "User"),
+            ("Execs", "Group"),
+            ("Tech. Team", "Group"),
+            ("Sales Team", "Group"),
+            ("Client#1", "Group"),
+            ("Proj.#1", "Project"),
+            ("Proj.#2", "Project"),
+            ("Proj.#1 Folder", "Folder"),
+            ("Proj.#1 Specs", "Folder"),
+            ("Proj.#1 Deliverables", "Folder"),
+            ("Proj.#2 Folder", "Folder"),
+            ("Proj.#2 Deliverables", "Folder"),
+            ("Func.Spec.#1", "File"),
+            ("Test.Spec.#1", "File"),
+            ("Proj.#1 Report#1", "File"),
+            ("Func.Spec.#2", "File"),
+            ("Proj.#2 Report#1", "File"),
+            ("Printer#1", "Printer"),
+            ("Printer#2", "Printer"),
+        ],
+        edges=[
+            # management structure
+            ("CEO", "Execs", "Supervises"),
+            ("CTO", "Execs", "Member-of"),
+            ("CFO", "Execs", "Member-of"),
+            ("CTO", "Tech. Team", "Supervises"),
+            ("CFO", "Sales Team", "Supervises"),
+            ("Tech.#1", "Tech. Team", "Member-of"),
+            ("Tech.#2", "Tech. Team", "Member-of"),
+            ("Sales.#1", "Sales Team", "Member-of"),
+            ("Sales.#2", "Sales Team", "Member-of"),
+            # project staffing
+            ("Tech.#2", "Proj.#1", "Participant-of"),
+            ("Tech.#2", "Proj.#1", "Supervises"),
+            ("Sales.#2", "Proj.#1", "Participant-of"),
+            ("Tech.#1", "Proj.#2", "Participant-of"),
+            ("Tech.#1", "Proj.#2", "Supervises"),
+            ("Sales.#1", "Proj.#2", "Participant-of"),
+            # Proj.#1 documents
+            ("Proj.#1 Folder", "Proj.#1", "Resource-for"),
+            ("Proj.#1 Specs", "Proj.#1 Folder", "Member-of"),
+            ("Func.Spec.#1", "Proj.#1 Specs", "Member-of"),
+            ("Test.Spec.#1", "Proj.#1 Specs", "Member-of"),
+            ("Proj.#1 Deliverables", "Proj.#1", "Deliverable-for"),
+            ("Proj.#1 Report#1", "Proj.#1 Deliverables", "Member-of"),
+            # Proj.#2 documents
+            ("Proj.#2 Folder", "Proj.#2", "Resource-for"),
+            ("Func.Spec.#2", "Proj.#2 Folder", "Member-of"),
+            ("Proj.#2 Deliverables", "Proj.#2", "Deliverable-for"),
+            ("Proj.#2 Report#1", "Proj.#2 Deliverables", "Member-of"),
+            # shared equipment
+            ("Printer#1", "Tech. Team", "Resource-for"),
+            ("Printer#2", "Proj.#1", "Resource-for"),
+            # the client
+            ("Client#1", "Proj.#1", "Client-of"),
+            ("Client#1", "Sales.#2", "Client-of"),
+        ],
+        pms="AllMatch",
         principal_rules=[
-            PrincipalMatchingRule(parse(path, model.labels), principal)
-            for path, principal in _CORPORATE_PRINCIPAL_RULES
+            ("Client-of . ~Deliverable-for . (~Member-of)+", "Deliverable Client"),
+            ("Supervises+ . ~Member-of . Supervises . ~Deliverable-for", "Deliverable Reviewer"),
+            ("Supervises+ . ~Member-of . Supervises . ~Deliverable-for . (~Member-of)+", "Deliverable Reviewer"),
+            ("Supervises . ~Deliverable-for", "Deliverable Supervisor"),
+            ("Supervises . ~Deliverable-for . (~Member-of)+", "Deliverable Supervisor"),
+            ("Participant-of . ~Deliverable-for", "Deliverable User"),
+            ("Participant-of . ~Deliverable-for . (~Member-of)+", "Deliverable User"),
+            ("Supervises . ~Resource-for", "Project Resource Supervisor"),
+            ("Supervises . ~Resource-for . (~Member-of)+", "Project Resource Supervisor"),
+            ("Participant-of . ~Resource-for", "Project Resource User"),
+            ("Participant-of . ~Resource-for . (~Member-of)+", "Project Resource User"),
+            ("Member-of . ~Resource-for", "Team Resource User"),
         ],
-        pms=MatchStrategy.ALL_MATCH,
         auth_rules=[
-            AuthorizationRule(principal, obj, action, allow)
-            for principal, obj, action, allow in _CORPORATE_AUTH_RULES
+            ("Deliverable Client", "*", "read", True),
+            ("Deliverable Reviewer", "*", "read", True),
+            ("Deliverable Supervisor", "*", "read", True),
+            ("Deliverable Supervisor", "*", "write", True),
+            ("Deliverable User", "*", "read", True),
+            ("Project Resource Supervisor", "*", "read", True),
+            ("Project Resource Supervisor", "*", "write", True),
+            ("Project Resource User", "*", "read", True),
+            ("Project Resource User", "Func.Spec.#1", "write", False),
+            ("Project Resource User", "*", "write", True),
+            ("Team Resource User", "*", "write", True),
         ],
-        crs=ConflictStrategy.FIRST_MATCH,
-        system_default=Decision.DENY,
+        crs="FirstMatch",
+        requests=[
+            ("Tech.#2", "Test.Spec.#1", "read"),
+            ("Tech.#2", "Func.Spec.#1", "write"),
+            ("Sales.#2", "Func.Spec.#1", "write"),
+            ("CTO", "Proj.#1 Report#1", "read"),
+            ("CEO", "Proj.#1 Report#1", "read"),
+        ],
     )
-    requests = [Request(*r) for r in _CORPORATE_REQUESTS]
-    return Workspace(model, graph, system, requests)
 
 
 FIXTURES = {

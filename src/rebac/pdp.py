@@ -18,7 +18,7 @@ An :class:`AuthorizationSystem` checks its own shape when it is built and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, Sequence
@@ -204,11 +204,7 @@ class DecisionTrace:
 
     def to_dict(self) -> dict:
         return {
-            "request": {
-                "subject": self.request.subject,
-                "object": self.request.object,
-                "action": self.request.action,
-            },
+            "request": asdict(self.request),
             "matched_principals": list(self.matched_principals),
             "possible_decisions": list(self.possible_decisions),
             "resolution": self.resolution,
@@ -219,10 +215,7 @@ class DecisionTrace:
                     "principal": ev.principal,
                     "condition": ev.condition,
                     "found": ev.found,
-                    "nodes_visited": ev.metrics.nodes_visited,
-                    "edges_considered": ev.metrics.edges_considered,
-                    "queue_peak": ev.metrics.queue_peak,
-                    "pairs_seen": ev.metrics.pairs_seen,
+                    **asdict(ev.metrics),
                 }
                 for ev in self.metrics
             ],

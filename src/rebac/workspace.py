@@ -22,17 +22,19 @@ optional request list into one JSON document::
     }
 
 Loading validates everything and raises :class:`WorkspaceError` with
-the full list of violations.  Saving emits a canonical form (fixed key
-order, sorted entity/edge lists, two-space indent, trailing newline),
-so a canonically formatted file survives a load/save round trip byte
-for byte.  Rule order is meaningful and always preserved.
+the full list of violations, bad JSON included.  ``_RECORDS`` declares
+each record's fields once: the loader reads records by it, and
+:func:`document`, the one writer of this layout, writes them by it.
+Saving passes :func:`document` a canonical form (sorted model and graph
+collections and default maps), written with a two-space indent and a
+trailing newline, so a canonically formatted file survives a load/save
+round trip byte for byte.  Rule order is meaningful and always preserved.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
@@ -159,6 +161,10 @@ def loads_workspace(text: str, source: str = "<workspace>") -> Workspace:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkspaceError([f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]) from None
+    except RecursionError:
+        raise WorkspaceError([f"{source}: invalid JSON: nested too deeply to decode"]) from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise WorkspaceError([f"{source}: invalid JSON: {exc}"]) from None
 
     problems: list[str] = []
     if not isinstance(data, dict):
@@ -267,70 +273,56 @@ def load_workspace(path: str | Path) -> Workspace:
     return loads_workspace(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def workspace_to_dict(workspace: Workspace) -> dict:
-    """Canonical JSON-ready form; see module docstring for the layout."""
-    model = workspace.model
-    graph = workspace.graph
-    system = workspace.system
+def document(*, types, labels, symmetric=(), permissible, entities, edges, pms: str, crs: str, principal_rules,
+             auth_rules, system_default: str = "deny", subject_defaults=(), object_defaults=(), requests=()) -> dict:
+    """A workspace document in the layout above, holding what it is given,
+    in the order given.  Each record is a tuple of its field values, in
+    the order ``_RECORDS`` names the fields."""
+
+    def records(key, rows):
+        return [dict(zip(_RECORDS[key][1], row)) for row in rows]
 
     return {
         "version": FORMAT_VERSION,
-        "model": {
-            "types": sorted(model.types),
-            "labels": sorted(model.labels),
-            "symmetric": sorted(model.symmetric),
-            "permissible": [
-                {"from": f, "to": t, "label": l} for f, t, l in sorted(model.permissible)
-            ],
-        },
-        "graph": {
-            "entities": [
-                {"id": entity, "type": graph.type_of(entity)} for entity in graph.entity_ids
-            ],
-            "edges": [
-                {"from": f, "to": t, "label": l} for f, t, l in sorted(graph.edges)
-            ],
-        },
+        "model": {"types": list(types), "labels": list(labels), "symmetric": list(symmetric),
+                  "permissible": records("permissible", permissible)},
+        "graph": {"entities": records("entities", entities), "edges": records("edges", edges)},
         "authorization_system": {
-            "pms": system.pms.value,
-            "crs": system.crs.value,
-            "principal_rules": [
-                {"path": rule.text, "principal": rule.principal}
-                for rule in system.principal_rules
-            ],
-            "auth_rules": [
-                {
-                    "principal": rule.principal,
-                    "object": rule.object,
-                    "action": rule.action,
-                    "allow": rule.allow,
-                }
-                for rule in system.auth_rules
-            ],
-            "defaults": {
-                "system": system.system_default.value,
-                "subjects": {
-                    entity: system.subject_defaults[entity].value
-                    for entity in sorted(system.subject_defaults)
-                },
-                "objects": {
-                    entity: system.object_defaults[entity].value
-                    for entity in sorted(system.object_defaults)
-                },
-            },
+            "pms": pms,
+            "crs": crs,
+            "principal_rules": records("principal_rules", principal_rules),
+            "auth_rules": records("auth_rules", auth_rules),
+            "defaults": {"system": system_default, "subjects": dict(subject_defaults),
+                         "objects": dict(object_defaults)},
         },
-        "requests": [
-            {"subject": r.subject, "object": r.object, "action": r.action}
-            for r in workspace.requests
-        ],
+        "requests": records("requests", requests),
     }
 
 
+def workspace_to_dict(workspace: Workspace) -> dict:
+    """Canonical JSON-ready form: model and graph collections and default
+    maps sorted, rule and request order kept."""
+    model, graph, system = workspace.model, workspace.graph, workspace.system
+    return document(
+        types=sorted(model.types),
+        labels=sorted(model.labels),
+        symmetric=sorted(model.symmetric),
+        permissible=sorted(model.permissible),
+        entities=[(entity, graph.type_of(entity)) for entity in graph.entity_ids],
+        edges=sorted(graph.edges),
+        pms=system.pms.value,
+        crs=system.crs.value,
+        principal_rules=[(rule.text, rule.principal) for rule in system.principal_rules],
+        auth_rules=map(astuple, system.auth_rules),
+        system_default=system.system_default.value,
+        subject_defaults=[(entity, d.value) for entity, d in sorted(system.subject_defaults.items())],
+        object_defaults=[(entity, d.value) for entity, d in sorted(system.object_defaults.items())],
+        requests=map(astuple, workspace.requests),
+    )
+
+
 def dumps_workspace(workspace: Workspace) -> str:
-    buffer = io.StringIO()
-    json.dump(workspace_to_dict(workspace), buffer, indent=2)
-    buffer.write("\n")
-    return buffer.getvalue()
+    return json.dumps(workspace_to_dict(workspace), indent=2) + "\n"
 
 
 def save_workspace(workspace: Workspace, path: str | Path) -> None:

@@ -30,6 +30,11 @@ def json_type(value) -> str:
 DOCUMENTS = {name: json.loads(dumps_workspace(make_fixture(name))) for name in sorted(FIXTURES)}
 POSITIONS = [(name, path) for name, doc in DOCUMENTS.items() for path in _positions(doc)]
 JSON_VALUES = [None, True, False, 0, 7, 2.5, "", "ghost", [], ["ghost"], {}, {"id": "ghost"}]
+# text that json.loads rejects with an error other than JSONDecodeError
+UNDECODABLE = {
+    "deeply nested": "[" * 100_000 + "]" * 100_000,
+    "overlong integer": '{"version": 1' + "0" * 4300 + "}",
+}
 
 
 @st.composite

@@ -16,7 +16,7 @@ from rebac import Decision, Request, dumps_workspace, evaluate, load_workspace, 
 from rebac.cli import main
 from rebac.paths import MAX_DEPTH, PathSyntaxError, parse
 
-from strategies import DOCUMENTS, workspace_texts
+from strategies import DOCUMENTS, UNDECODABLE, workspace_texts
 
 
 @pytest.fixture()
@@ -49,6 +49,16 @@ def test_validate_prints_every_violation_and_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "version must be 1, found 9" in err
     assert "symmetric label 'friend'" in err
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_validate_names_undecodable_json_as_a_violation(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["validate", "-w", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: invalid JSON: ")
+    assert "RecursionError" not in err and "ValueError" not in err
 
 
 def test_eval_allow_exit_code_and_annotation(corporate_file, capsys):

@@ -33,6 +33,9 @@ DIGESTS = {
     ("validate", "-w", "unix.json"): "baadc9d6ca792dca19d4274c01fdaa7e0f363879cfa538cd0d62e28bf1d3f4b0",
     ("match", "-w", "corporate.json", "-s", "Sales.#2", "-t", "Func.Spec.#1", "-p", "P . ~R . (~M)+", "--metrics"):
         "db3f0f616338ea9319599c4a2462fad66d88529406ad1b0ebf6ea5d9bbac0314",
+    ("fixture", "unix"): "74e67c45e9d719f6aeee3c56b3510585074c0991b1dd3b1fd3c52fa1f063b340",
+    ("fixture", "rbac"): "09d9bd6b4ccc84c0cbfb30fcf5b156fa51865ea99f50ffef8f6693b028a35e62",
+    ("fixture", "corporate"): "90ec7747284120986668526e16fb1c142bbb931edbf5ad6f38bc29a3b223f07a",
 }
 
 

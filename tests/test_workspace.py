@@ -20,7 +20,7 @@ from rebac.fixtures import FIXTURES
 from rebac.matching import TOP
 from rebac.workspace import workspace_to_dict
 
-from strategies import DOCUMENTS, JSON_VALUES, POSITIONS, json_type
+from strategies import DOCUMENTS, JSON_VALUES, POSITIONS, UNDECODABLE, json_type
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -80,6 +80,12 @@ def violations(doc) -> list[str]:
 def test_invalid_json_reports_line_and_column():
     (violation,) = violations('{\n  "version": 1,,\n}')
     assert "invalid JSON at line 2 column 16" in violation
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_json_that_cannot_be_decoded_is_one_violation(text):
+    (violation,) = violations(text)
+    assert violation.startswith("<workspace>: invalid JSON: ")
 
 
 def test_non_object_document():
